@@ -585,12 +585,7 @@ def highpass_ablation(
         spec_hp = replace(
             base_spec,
             filter_configs=tuple(
-                FilterConfig(
-                    name=fc.name,
-                    filters=(hp,) + fc.filters,
-                    zscore_scope=fc.zscore_scope,
-                    mode=fc.mode,
-                )
+                replace(fc, filters=(hp,) + fc.filters)
                 for fc in base_spec.filter_configs
             ),
         )

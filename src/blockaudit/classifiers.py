@@ -64,14 +64,24 @@ def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / n
 
 
-def _sgd_epochs(n: int, config: TrainConfig, rng):
-    """Yield per-epoch lists of batch index arrays (seeded shuffles)."""
+def _sgd(params, n: int, config: TrainConfig, rng, step, name: str) -> None:
+    """Mini-batch SGD with momentum, updating ``params`` in place.
+
+    Each epoch visits the ``n`` training rows in a fresh permutation drawn
+    from ``rng``.  ``step(idx)`` returns the loss on rows ``idx`` and one
+    gradient per array of ``params``.
+    """
+    vel = [np.zeros_like(p) for p in params]
     for _ in range(config.epochs):
         perm = rng.permutation(n)
-        yield [
-            perm[i : i + config.batch_size]
-            for i in range(0, n, config.batch_size)
-        ]
+        for start in range(0, n, config.batch_size):
+            loss, grads = step(perm[start : start + config.batch_size])
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"{name} loss diverged with {config}")
+            for p, v, g in zip(params, vel, grads):
+                v *= config.momentum
+                v -= config.learning_rate * g
+                p += v
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +178,24 @@ class LinearModel:
         return [self.w, self.b]
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
-        n = x.shape[0]
-        targets = -np.ones((n, self.w.shape[1]), dtype=x.dtype)
-        targets[np.arange(n), y] = 1.0
-        s = self.scores(x)
-        if self.loss_kind == "hinge":
-            margins = 1.0 - targets * s
-            loss = np.maximum(margins, 0.0).sum(axis=1).mean()
-            ds = np.where(margins > 0, -targets, 0.0) / n
-        else:
-            diff = s - targets
-            loss = 0.5 * np.einsum("nc,nc->", diff, diff) / n
-            ds = diff / n
+        loss, ds = _score_loss(self.scores(x), y, self.loss_kind)
         loss += 0.5 * self.l2 * float(np.einsum("dc,dc->", self.w, self.w))
         gw = x.T @ ds + self.l2 * self.w
         gb = ds.sum(axis=0)
         return float(loss), [gw, gb]
+
+
+def _score_loss(s: np.ndarray, y: np.ndarray, kind: str):
+    """Mean one-vs-rest loss of the (n, C) scores and d(loss)/d(scores)."""
+    n = s.shape[0]
+    targets = -np.ones(s.shape, dtype=s.dtype)
+    targets[np.arange(n), y] = 1.0
+    if kind == "hinge":
+        margins = 1.0 - targets * s
+        loss = np.maximum(margins, 0.0).sum(axis=1).mean()
+        return loss, np.where(margins > 0, -targets, 0.0) / n
+    diff = s - targets
+    return 0.5 * np.einsum("nc,nc->", diff, diff) / n, diff / n
 
 
 def train_svm(
@@ -196,6 +208,19 @@ def train_svm(
 
     Hinge loss summed over classes plus an explicit L2 penalty on the
     weights (biases unpenalized).  Deterministic under the config seed.
+
+    When features outnumber training trials (``D > n``) the same momentum
+    SGD runs in Gram space.  The weights start at zero, and every subgradient
+    step adds a combination of training rows to them, so ``w = Xᵀa`` for an
+    (n, C) coefficient matrix ``a`` at every step (the representer theorem).
+    Batch scores are then ``K[idx] @ a + b`` with ``K = X Xᵀ`` built once
+    from the training rows, the weight gradient ``Xᵀds + l2 w`` becomes
+    ``l2 a`` plus ``ds`` on the batch rows, and the velocity is ``Xᵀva``.
+    The iterates equal the primal ones step for step in exact arithmetic;
+    in floating point they differ by rounding only.  Each step then costs
+    O(batch·n·C) instead of O(batch·D·C), after O(n²·D) once to build ``K``,
+    and needs O(n²) extra memory.  With ``D <= n`` the primal form is
+    cheaper and is used.
     """
     train_x = np.asarray(train_x)
     train_y = np.asarray(train_y, dtype=np.int64)
@@ -204,18 +229,29 @@ def train_svm(
         raise ValueError("SVM training needs at least 2 classes")
     dtype = train_x.dtype if train_x.dtype in (np.float32, np.float64) else np.float64
     rng = np.random.default_rng(config.seed)
-    model = LinearModel.zeros(train_x.shape[1], classes, dtype=dtype, l2=l2)
-    vel = [np.zeros_like(p) for p in model.param_arrays()]
-    for batches in _sgd_epochs(train_x.shape[0], config, rng):
-        for idx in batches:
-            loss, grads = model.loss_and_grads(train_x[idx], train_y[idx])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"SVM loss diverged with {config}")
-            for p, v, g in zip(model.param_arrays(), vel, grads):
-                v *= config.momentum
-                v -= config.learning_rate * g
-                p += v
-    return model
+    n, dim = train_x.shape
+    if dim <= n:
+        model = LinearModel.zeros(dim, classes, dtype=dtype, l2=l2)
+        _sgd(model.param_arrays(), n, config, rng,
+             lambda idx: model.loss_and_grads(train_x[idx], train_y[idx]), "SVM")
+        return model
+    x = train_x.astype(dtype, copy=False)
+    gram = x @ x.T
+    coef = np.zeros((n, classes), dtype=dtype)
+    bias = np.zeros(classes, dtype=dtype)
+
+    def step(idx):
+        loss, ds = _score_loss(gram[idx] @ coef + bias, train_y[idx], "hinge")
+        # The loss only feeds the divergence check.  Its L2 term, 0.5·l2·tr(aᵀKa),
+        # would cost n²·C per step, so check the coefficients themselves.
+        if not np.isfinite(coef).all():
+            loss = np.nan
+        grad = l2 * coef
+        grad[idx] += ds  # batch rows are distinct within one permutation
+        return float(loss), [grad, ds.sum(axis=0)]
+
+    _sgd([coef, bias], n, config, rng, step, "SVM")
+    return LinearModel(x.T @ coef, bias, l2=l2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +333,8 @@ def train_mlp(
         weight_decay=config.weight_decay,
     )
     rng = np.random.default_rng(config.seed + 1)  # shuffles; init used config.seed
-    vel = [np.zeros_like(p) for p in model.param_arrays()]
-    for batches in _sgd_epochs(train_x.shape[0], config, rng):
-        for idx in batches:
-            loss, grads = model.loss_and_grads(train_x[idx], train_y[idx])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"MLP loss diverged with {config}")
-            for p, v, g in zip(model.param_arrays(), vel, grads):
-                v *= config.momentum
-                v -= config.learning_rate * g
-                p += v
+    _sgd(model.param_arrays(), train_x.shape[0], config, rng,
+         lambda idx: model.loss_and_grads(train_x[idx], train_y[idx]), "MLP")
     return model
 
 
@@ -533,16 +561,8 @@ def train_cnn1d(
         weight_decay=train_config.weight_decay,
     )
     rng = np.random.default_rng(train_config.seed + 1)
-    vel = [np.zeros_like(p) for p in model.param_arrays()]
-    for batches in _sgd_epochs(x.shape[0], train_config, rng):
-        for idx in batches:
-            loss, grads = model.loss_and_grads(x[idx], y[idx], train=True)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"CNN loss diverged with {train_config}")
-            for p, v, g in zip(model.param_arrays(), vel, grads):
-                v *= train_config.momentum
-                v -= train_config.learning_rate * g
-                p += v
+    _sgd(model.param_arrays(), x.shape[0], train_config, rng,
+         lambda idx: model.loss_and_grads(x[idx], y[idx], train=True), "CNN")
     return model
 
 

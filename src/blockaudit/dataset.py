@@ -243,7 +243,8 @@ def load_session(path: str | Path) -> Session:
         On bad magic/version, malformed header, or a payload whose size does
         not match ``channels * num_samples`` float32 values.
     ValueError
-        If the decoded events violate session invariants.
+        If the decoded events violate session invariants, or a sample is NaN
+        or infinite (the message names the first such channel and sample).
     """
     header, payload = read_container(path)
     missing = _SESSION_KEYS - header.keys()
@@ -258,6 +259,14 @@ def load_session(path: str | Path) -> Session:
             f"({channels} channels x {num_samples} samples)"
         )
     samples = np.frombuffer(payload, dtype="<f4").reshape(channels, num_samples)
+    # one channel at a time, so no session-sized boolean mask is allocated
+    for ch, row in enumerate(samples):
+        finite = np.isfinite(row)
+        if not finite.all():
+            t = int(np.argmin(finite))
+            raise ValueError(
+                f"{path}: non-finite sample {row[t]} at channel {ch}, sample {t}"
+            )
     try:
         events = tuple(
             TrialEvent(

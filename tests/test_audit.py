@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,6 +249,21 @@ class TestHighpassAblation:
                 hp_cell.n_correct, hp_cell.n_test, p0, alternative="greater"
             ).pvalue
             assert p_better >= 0.01
+
+    def test_ablated_arms_keep_their_settings(self, drift_session, monkeypatch):
+        arms = (FilterConfig(name="pre", zscore_stage="before_filter",
+                             mode="causal"),
+                FilterConfig(name="post"))
+        spec = replace(small_spec(256.0), filter_configs=arms)
+        seen = []
+        monkeypatch.setattr(ba.audit, "run_grid", lambda data, s, threads=1:
+                            seen.append(s.filter_configs))
+        highpass_ablation(drift_session, [14.0], spec)
+        baseline, ablated = seen
+        assert baseline == arms
+        for base, arm in zip(arms, ablated):
+            assert arm.zscore_stage == base.zscore_stage
+            assert arm == replace(base, filters=arm.filters[:1] + base.filters)
 
     def test_cutoff_validation(self, drift_session):
         with pytest.raises(ValueError, match="Nyquist"):

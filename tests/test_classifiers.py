@@ -123,6 +123,32 @@ class TestSvm:
         np.testing.assert_array_equal(a.w, b.w)
         np.testing.assert_array_equal(a.b, b.b)
 
+    def test_gram_path_matches_primal(self):
+        # 6 features for 60 trials trains in the primal; zero-padding the
+        # features to 66 > 60 switches to Gram space without changing the
+        # problem, so the two fits must agree up to rounding
+        rng = np.random.default_rng(12)
+        y = np.repeat(np.arange(3), 20)
+        x = rng.standard_normal((60, 6)) + 2.0 * np.eye(3, 6)[y]
+        cfg = TrainConfig(seed=3, epochs=30, batch_size=16, learning_rate=1e-2)
+        primal = train_svm(x, y, cfg, l2=1e-2)
+        padded = np.hstack([x, np.zeros((60, 60))])
+        gram = train_svm(padded, y, cfg, l2=1e-2)
+        np.testing.assert_allclose(gram.w[:6], primal.w, rtol=1e-9)
+        np.testing.assert_allclose(gram.b, primal.b, rtol=1e-9)
+        assert not gram.w[6:].any()
+        np.testing.assert_array_equal(gram.predict(padded), primal.predict(x))
+
+    @pytest.mark.parametrize("features", [4, 64], ids=["primal", "gram"])
+    def test_divergence_reported_with_config_echo(self, features):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((32, features))
+        x[5, 0] = np.nan
+        y = np.arange(32) % 2
+        with pytest.raises(TrainingDiverged, match="epochs"):
+            train_svm(x, y, TrainConfig(seed=0, epochs=5, batch_size=8,
+                                        learning_rate=1e-2))
+
 
 class TestMlp:
     def test_xor_learnable(self):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blockaudit import load_session
+from blockaudit import Session, load_session, save_session
 from blockaudit.cli import main
 from blockaudit.config import ConfigError, load_config, validate_config
 
@@ -155,6 +155,23 @@ class TestAudit:
         code = main(["audit", "--input", str(tmp_path / "m.baud"),
                      "--out", str(tmp_path / "r")])
         assert code == 1
+
+    def test_non_finite_sample_named_and_exit_1(self, session_dir, tmp_path,
+                                                capsys):
+        good = load_session(session_dir / "s01_block.baud")
+        samples = good.samples.copy()
+        samples[3, 100] = np.nan
+        path = tmp_path / "nan.baud"
+        save_session(Session(samples=samples, sample_rate=good.sample_rate,
+                             subject_id=good.subject_id, events=good.events),
+                     path)
+        with pytest.raises(ValueError, match="channel 3, sample 100"):
+            load_session(path)
+        code = main(["audit", "--input", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite sample nan at channel 3, sample 100" in err
+        assert "INCONCLUSIVE" not in err
 
     def test_multi_subject_loso(self, tmp_path):
         sessions = tmp_path / "multi"
