@@ -9,7 +9,6 @@ from .dataset import (
     Session,
     TrialEvent,
     TrialMatrix,
-    check_design,
     concat_trials,
     load_session,
     save_session,
@@ -53,9 +52,6 @@ from .classifiers import (
     TrainConfig,
     evaluate_accuracy,
     gradient_check,
-    knn_classify,
-    load_model,
-    save_model,
     train_cnn1d,
     train_mlp,
     train_svm,

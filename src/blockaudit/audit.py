@@ -394,18 +394,14 @@ def _evaluate_group(
             for key in inner:
                 acc[key].error = exc
             continue
-        y_train = matrix.labels[plan.train]
-        y_test = matrix.labels[plan.test]
+        test_matrix = matrix.take(plan.test)
+        y_train = train_matrix.labels
+        y_test = test_matrix.labels
         for channels in dict.fromkeys(ch for ch, _ in inner):
             m = channels if channels > 0 else matrix.channels
             try:
-                top = ranking.order[:m]
-                if m > matrix.channels:
-                    raise ValueError(
-                        f"channel count {m} exceeds {matrix.channels}"
-                    )
-                x_train3 = matrix.trials[plan.train][:, top, :]
-                x_test3 = matrix.trials[plan.test][:, top, :]
+                x_train3 = features.select_channels(train_matrix, ranking, m).trials
+                x_test3 = features.select_channels(test_matrix, ranking, m).trials
             except ValueError as exc:
                 for key in inner:
                     if key[0] == channels:
@@ -430,7 +426,7 @@ def _evaluate_group(
                     acc[key].add(
                         conf, y_train.size,
                         _block_outcomes(
-                            preds, y_test, matrix.block_ids[plan.test], num_classes
+                            preds, y_test, test_matrix.block_ids, num_classes
                         ),
                     )
                 except (ValueError, clf.TrainingDiverged) as exc:

@@ -10,16 +10,9 @@ training) and safe to share for inference.
 """
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-MODEL_MAGIC = b"BMDL"
-MODEL_VERSION = 1
-_MODEL_PREAMBLE = struct.Struct("<4sHI")
 
 
 class TrainingDiverged(RuntimeError):
@@ -130,14 +123,6 @@ class KnnModel:
             nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
             out[start : start + chunk] = _vote(self.y[nearest], self.num_classes)
         return out
-
-
-def knn_classify(
-    train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray, k: int
-) -> int:
-    """Label of a single query by majority vote among its k nearest."""
-    model = KnnModel(train_x, train_y, k=k)
-    return int(model.predict(query[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +341,12 @@ class Cnn1dConfig:
 
     kernels: int = 8
     kernel_len: int = 32
-    stride: int = 1
-    shared_channels: bool = True
     dropout_p: float = 0.5
     pool_len: int = 128
     pool_stride: int = 64
     classes: int = 40
 
     def __post_init__(self):
-        if self.stride != 1:
-            raise ValueError("only stride 1 is supported")
         if self.kernel_len < 1 or self.kernels < 1:
             raise ValueError("kernels and kernel_len must be >= 1")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -403,12 +384,8 @@ class Cnn1dModel:
         k, L, c = config.kernels, config.kernel_len, config.classes
         feat = channels * k
         rng = np.random.default_rng(seed)
-        if config.shared_channels:
-            self.conv_w = _glorot_uniform(rng, L, k, (k, L), dtype)
-            self.conv_b = np.zeros(k, dtype=dtype)
-        else:
-            self.conv_w = _glorot_uniform(rng, L, k, (channels, k, L), dtype)
-            self.conv_b = np.zeros((channels, k), dtype=dtype)
+        self.conv_w = _glorot_uniform(rng, L, k, (k, L), dtype)
+        self.conv_b = np.zeros(k, dtype=dtype)
         self.fc_time_w = _glorot_uniform(rng, feat, c, (feat, c), dtype)
         self.fc_time_b = np.zeros(c, dtype=dtype)
         self.fc_out_w = _glorot_uniform(rng, self.pooled * c, c,
@@ -433,16 +410,10 @@ class Cnn1dModel:
         windows = np.ascontiguousarray(
             np.lib.stride_tricks.sliding_window_view(x, cfg.kernel_len, axis=2)
         )  # (n, ch, t1, L); contiguous so the matmuls below hit BLAS
-        if cfg.shared_channels:
-            conv = (
-                windows.reshape(-1, cfg.kernel_len) @ self.conv_w.T
-            ).reshape(n, ch, self.t1, cfg.kernels)
-            conv += self.conv_b
-        else:
-            conv = np.einsum(
-                "nctl,ckl->nctk", windows, self.conv_w, optimize=True
-            )
-            conv += self.conv_b[None, :, None, :]
+        conv = (
+            windows.reshape(-1, cfg.kernel_len) @ self.conv_w.T
+        ).reshape(n, ch, self.t1, cfg.kernels)
+        conv += self.conv_b
         neg = conv < 0
         act = np.where(neg, np.expm1(conv), conv)  # ELU, alpha=1
         cache = {}
@@ -506,17 +477,11 @@ class Cnn1dModel:
             dact = dact * cache["mask1"]
         windows = cache["windows"]
         dconv = dact * cache["elu_deriv"]
-        if cfg.shared_channels:
-            g_conv_w = (
-                dconv.reshape(-1, cfg.kernels).T
-                @ windows.reshape(-1, cfg.kernel_len)
-            )
-            g_conv_b = dconv.sum(axis=(0, 1, 2))
-        else:
-            g_conv_w = np.einsum(
-                "nctl,nctk->ckl", windows, dconv, optimize=True
-            )
-            g_conv_b = dconv.sum(axis=(0, 2))
+        g_conv_w = (
+            dconv.reshape(-1, cfg.kernels).T
+            @ windows.reshape(-1, cfg.kernel_len)
+        )
+        g_conv_b = dconv.sum(axis=(0, 1, 2))
         return [g_conv_w, g_conv_b, g_time_w, g_time_b, g_out_w, g_out_b]
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray, train: bool = False):
@@ -610,105 +575,3 @@ def evaluate_accuracy(model, x: np.ndarray, y: np.ndarray,
     np.add.at(confusion, (y, preds), 1)
     accuracy = float((preds == y).mean())
     return accuracy, confusion
-
-
-# ---------------------------------------------------------------------------
-# Model persistence ("BMDL": JSON config header + float64 LE payload)
-# ---------------------------------------------------------------------------
-
-def _model_arrays(model) -> dict[str, np.ndarray]:
-    if isinstance(model, KnnModel):
-        return {"x": model.x, "y": model.y}
-    if isinstance(model, LinearModel):
-        return {"w": model.w, "b": model.b}
-    if isinstance(model, MlpModel):
-        return {"w1": model.w1, "b1": model.b1, "w2": model.w2, "b2": model.b2}
-    if isinstance(model, Cnn1dModel):
-        return {
-            "conv_w": model.conv_w, "conv_b": model.conv_b,
-            "fc_time_w": model.fc_time_w, "fc_time_b": model.fc_time_b,
-            "fc_out_w": model.fc_out_w, "fc_out_b": model.fc_out_b,
-        }
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-
-
-def save_model(model, path: str | Path) -> None:
-    """Write a trained model to the versioned BMDL container."""
-    arrays = _model_arrays(model)
-    header: dict = {"kind": model.kind, "arrays": []}
-    if isinstance(model, KnnModel):
-        header["config"] = {"k": model.k, "num_classes": model.num_classes}
-    elif isinstance(model, LinearModel):
-        header["config"] = {"l2": model.l2, "loss_kind": model.loss_kind}
-    elif isinstance(model, MlpModel):
-        header["config"] = {"weight_decay": model.weight_decay}
-    elif isinstance(model, Cnn1dModel):
-        header["config"] = {
-            "kernels": model.config.kernels,
-            "kernel_len": model.config.kernel_len,
-            "stride": model.config.stride,
-            "shared_channels": model.config.shared_channels,
-            "dropout_p": model.config.dropout_p,
-            "pool_len": model.config.pool_len,
-            "pool_stride": model.config.pool_stride,
-            "classes": model.config.classes,
-            "channels": model.channels,
-            "width": model.width,
-            "weight_decay": model.weight_decay,
-        }
-    payload = bytearray()
-    for name, arr in arrays.items():
-        header["arrays"].append({"name": name, "shape": list(arr.shape)})
-        payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_PREAMBLE.pack(MODEL_MAGIC, MODEL_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
-
-
-def load_model(path: str | Path):
-    """Read a BMDL container back into the matching model class."""
-    with open(path, "rb") as fh:
-        preamble = fh.read(_MODEL_PREAMBLE.size)
-        if len(preamble) < _MODEL_PREAMBLE.size:
-            raise ValueError(f"{path}: truncated model file")
-        magic, version, header_len = _MODEL_PREAMBLE.unpack(preamble)
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: bad model magic {magic!r}")
-        if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
-        header = json.loads(fh.read(header_len).decode())
-        payload = fh.read()
-    arrays = {}
-    offset = 0
-    for entry in header["arrays"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-        offset += count * 8
-    kind = header["kind"]
-    cfg = header.get("config", {})
-    if kind == "knn":
-        return KnnModel(arrays["x"], arrays["y"].astype(np.int64), k=int(cfg["k"]))
-    if kind == "linear":
-        return LinearModel(arrays["w"], arrays["b"], l2=cfg.get("l2", 0.0),
-                           loss_kind=cfg.get("loss_kind", "hinge"))
-    if kind == "mlp":
-        return MlpModel(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
-                        weight_decay=cfg.get("weight_decay", 0.0))
-    if kind == "cnn1d":
-        config = Cnn1dConfig(
-            kernels=cfg["kernels"], kernel_len=cfg["kernel_len"],
-            stride=cfg["stride"], shared_channels=cfg["shared_channels"],
-            dropout_p=cfg["dropout_p"], pool_len=cfg["pool_len"],
-            pool_stride=cfg["pool_stride"], classes=cfg["classes"],
-        )
-        model = Cnn1dModel(config, channels=cfg["channels"], width=cfg["width"],
-                           seed=0, weight_decay=cfg.get("weight_decay", 0.0))
-        (model.conv_w, model.conv_b, model.fc_time_w, model.fc_time_b,
-         model.fc_out_w, model.fc_out_b) = (
-            arrays["conv_w"], arrays["conv_b"], arrays["fc_time_w"],
-            arrays["fc_time_b"], arrays["fc_out_w"], arrays["fc_out_b"])
-        return model
-    raise ValueError(f"{path}: unknown model kind {kind!r}")

@@ -14,12 +14,10 @@ feature vectors stand in for their outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import classifiers as clf
-from .dataset import read_container, write_container
 
 
 @dataclass(frozen=True)
@@ -132,11 +130,6 @@ def average_over_subjects(codebook: Codebook) -> np.ndarray:
     mean = codebook.instance_codewords.mean(axis=0)  # (C, n, D)
     return mean.reshape(codebook.classes * codebook.instances_per_class,
                         codebook.dim)
-
-
-def codebook_stimulus_labels(codebook: Codebook) -> np.ndarray:
-    """Class label of each row returned by :func:`average_over_subjects`."""
-    return np.repeat(np.arange(codebook.classes), codebook.instances_per_class)
 
 
 @dataclass(frozen=True)
@@ -273,73 +266,3 @@ def transfer_svm_compare(
         acc, _ = clf.evaluate_accuracy(model, x_test, y_test)
         accs.append(acc)
     return accs[0], accs[1]
-
-
-# ---------------------------------------------------------------------------
-# Persistence: matrices ride in the dataset container with a role tag
-# ---------------------------------------------------------------------------
-
-def save_codebook(codebook: Codebook, path: str | Path) -> None:
-    header = {
-        "role": "codebook",
-        "classes": codebook.classes,
-        "instances_per_class": codebook.instances_per_class,
-        "subjects": codebook.subjects,
-        "dim": codebook.dim,
-        "noise_variance": codebook.noise_variance,
-        "element_range": list(codebook.element_range),
-    }
-    payload = (
-        np.ascontiguousarray(codebook.class_codewords, dtype="<f8").tobytes()
-        + np.ascontiguousarray(codebook.instance_codewords, dtype="<f8").tobytes()
-    )
-    write_container(path, header, payload)
-
-
-def load_codebook(path: str | Path) -> Codebook:
-    header, payload = read_container(path)
-    if header.get("role") != "codebook":
-        raise ValueError(f"{path}: not a codebook container")
-    c, n, s, d = (
-        int(header["classes"]),
-        int(header["instances_per_class"]),
-        int(header["subjects"]),
-        int(header["dim"]),
-    )
-    base_count = c * d
-    base = np.frombuffer(payload, dtype="<f8", count=base_count).reshape(c, d)
-    inst = np.frombuffer(payload, dtype="<f8", offset=base_count * 8).reshape(
-        s, c, n, d
-    )
-    return Codebook(
-        class_codewords=base.copy(),
-        instance_codewords=inst.copy(),
-        noise_variance=float(header["noise_variance"]),
-        element_range=tuple(header["element_range"]),
-    )
-
-
-def save_feature_set(features: FeatureSet, path: str | Path) -> None:
-    header = {
-        "role": "feature_set",
-        "rows": int(features.vectors.shape[0]),
-        "dim": int(features.vectors.shape[1]),
-        "labels": features.labels.tolist(),
-        "split_tags": [str(t) for t in features.split_tags],
-    }
-    write_container(
-        path, header, np.ascontiguousarray(features.vectors, dtype="<f8").tobytes()
-    )
-
-
-def load_feature_set(path: str | Path) -> FeatureSet:
-    header, payload = read_container(path)
-    if header.get("role") != "feature_set":
-        raise ValueError(f"{path}: not a feature-set container")
-    rows, dim = int(header["rows"]), int(header["dim"])
-    vectors = np.frombuffer(payload, dtype="<f8").reshape(rows, dim)
-    return FeatureSet(
-        vectors=vectors.copy(),
-        labels=np.asarray(header["labels"], dtype=np.int64),
-        split_tags=np.asarray(header["split_tags"], dtype=object),
-    )

@@ -62,7 +62,8 @@ class Session:
     Parameters
     ----------
     samples : ndarray, shape (channels, T), float32
-        Signed amplitudes in arbitrary units.
+        Signed amplitudes in arbitrary units; NaN or infinite samples are
+        rejected with a message naming the first such channel and sample.
     sample_rate : float
         Sampling rate in Hz, > 0.
     subject_id : str
@@ -86,6 +87,14 @@ class Session:
         if samples.dtype != np.float32:
             samples = samples.astype(np.float32)
         samples = np.ascontiguousarray(samples)
+        # one channel at a time, so no session-sized boolean mask is allocated
+        for ch, row in enumerate(samples):
+            finite = np.isfinite(row)
+            if not finite.all():
+                t = int(np.argmin(finite))
+                raise ValueError(
+                    f"non-finite sample {row[t]} at channel {ch}, sample {t}"
+                )
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "events", tuple(self.events))
@@ -141,29 +150,6 @@ class Session:
             if not out or ev.block_id != out[-1]:
                 out.append(ev.block_id)
         return out
-
-
-def check_design(session: Session, kind: DesignKind) -> None:
-    """Validate that a session's labels are consistent with a design kind.
-
-    For a block design every trial sharing a ``block_id`` must share a
-    ``class_label``; rapid-event sessions carry no such constraint.
-
-    Raises
-    ------
-    ValueError
-        If a block contains more than one class under ``DesignKind.BLOCK``.
-    """
-    if kind is DesignKind.RAPID_EVENT:
-        return
-    block_label: dict[int, int] = {}
-    for ev in session.events:
-        seen = block_label.setdefault(ev.block_id, ev.class_label)
-        if seen != ev.class_label:
-            raise ValueError(
-                f"block {ev.block_id} mixes classes {seen} and {ev.class_label}; "
-                "not a block design"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +230,8 @@ def load_session(path: str | Path) -> Session:
         not match ``channels * num_samples`` float32 values.
     ValueError
         If the decoded events violate session invariants, or a sample is NaN
-        or infinite (the message names the first such channel and sample).
+        or infinite; the message names the file, and for a non-finite sample
+        the first such channel and sample.
     """
     header, payload = read_container(path)
     missing = _SESSION_KEYS - header.keys()
@@ -259,14 +246,6 @@ def load_session(path: str | Path) -> Session:
             f"({channels} channels x {num_samples} samples)"
         )
     samples = np.frombuffer(payload, dtype="<f4").reshape(channels, num_samples)
-    # one channel at a time, so no session-sized boolean mask is allocated
-    for ch, row in enumerate(samples):
-        finite = np.isfinite(row)
-        if not finite.all():
-            t = int(np.argmin(finite))
-            raise ValueError(
-                f"{path}: non-finite sample {row[t]} at channel {ch}, sample {t}"
-            )
     try:
         events = tuple(
             TrialEvent(
@@ -280,12 +259,15 @@ def load_session(path: str | Path) -> Session:
         )
     except (KeyError, TypeError) as exc:
         raise ContainerError(f"{path}: malformed header: bad event entry") from exc
-    return Session(
-        samples=samples,
-        sample_rate=float(header["sample_rate_hz"]),
-        subject_id=str(header["subject_id"]),
-        events=events,
-    )
+    try:
+        return Session(
+            samples=samples,
+            sample_rate=float(header["sample_rate_hz"]),
+            subject_id=str(header["subject_id"]),
+            events=events,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +352,14 @@ class TrialMatrix:
         """Row subset (copies; the new matrix keeps the original indices)."""
         idx = np.asarray(indices, dtype=np.int64)
         return self.replace(
-            trials=self.trials[idx].copy(),
-            labels=self.labels[idx].copy(),
-            block_ids=self.block_ids[idx].copy(),
-            subject_ids=self.subject_ids[idx].copy(),
-            trial_indices=self.trial_indices[idx].copy(),
+            trials=self.trials[idx],
+            labels=self.labels[idx],
+            block_ids=self.block_ids[idx],
+            subject_ids=self.subject_ids[idx],
+            trial_indices=self.trial_indices[idx],
             stimulus_labels=None
             if self.stimulus_labels is None
-            else self.stimulus_labels[idx].copy(),
+            else self.stimulus_labels[idx],
         )
 
 

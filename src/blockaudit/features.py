@@ -181,5 +181,6 @@ def select_channels(
         raise ValueError(f"m={m} out of range 1..{trials.channels}")
     if ranking.order.size != trials.channels:
         raise ValueError("ranking does not match this matrix's channel count")
-    top = ranking.order[:m]
-    return trials.replace(trials=trials.trials[:, top, :].copy())
+    # np.take writes a C-contiguous result; trials[:, top, :] would not be,
+    # and TrialMatrix would copy it a second time to make it so
+    return trials.replace(trials=np.take(trials.trials, ranking.order[:m], axis=1))

@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .audit import AblationResult, GridResult, Verdict
 from .config import SCHEMA_VERSION
@@ -21,10 +19,6 @@ from .dsp import PowerSpectrum
 
 def fmt_accuracy(x: float) -> str:
     return f"{x:.4f}"
-
-
-def fmt_p(x: float) -> str:
-    return f"{x:.3e}"
 
 
 def _write_text(path: Path, text: str) -> Path:
@@ -86,13 +80,6 @@ def spectra_csv_text(spectrum: PowerSpectrum) -> str:
         vals = ",".join(f"{spectrum.power[i, j]:.6e}"
                         for i in range(spectrum.power.shape[0]))
         lines.append(f"{f:.6f},{vals}")
-    return "\n".join(lines) + "\n"
-
-
-def ranking_csv_text(scores: np.ndarray, order: np.ndarray) -> str:
-    lines = ["channel,score"]
-    for ch in order:
-        lines.append(f"{int(ch)},{scores[int(ch)]:.6e}")
     return "\n".join(lines) + "\n"
 
 

@@ -45,27 +45,6 @@ class SplitPlan:
         if self.train.size == 0 or self.test.size == 0:
             raise ValueError("train and test must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "held_out_subject": self.held_out_subject,
-            "num_trials": self.num_trials,
-            "train": self.train.tolist(),
-            "validation": self.validation.tolist(),
-            "test": self.test.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitPlan":
-        return cls(
-            train=np.asarray(d["train"], dtype=np.int64),
-            validation=np.asarray(d["validation"], dtype=np.int64),
-            test=np.asarray(d["test"], dtype=np.int64),
-            regime=d["regime"],
-            num_trials=int(d["num_trials"]),
-            held_out_subject=d.get("held_out_subject"),
-        )
-
 
 def _check_fractions(fractions) -> np.ndarray:
     f = np.asarray(fractions, dtype=np.float64)

@@ -113,6 +113,15 @@ class TestRunGrid:
         assert errored and all("empty" in c.error for c in errored)
         assert any(c.ok for c in result.cells.values())
 
+    def test_channel_count_out_of_range_recorded(self, drift_session):
+        spec = small_spec(256.0, channels=(0, 17))  # the session has 16
+        result = run_grid(drift_session, spec)
+        for key, cell in result.cells.items():
+            if key[3] == 17:
+                assert not cell.ok and "m=17 out of range 1..16" in cell.error
+            else:
+                assert cell.ok
+
     def test_cnn_too_short_window_recorded(self, drift_session):
         spec = small_spec(256.0, classifiers=("cnn1d",), windows=(200.0,),
                           splits=(SplitSpec(sp.WITHIN_BLOCK, (0.8, 0.1, 0.1)),))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blockaudit import Session, load_session, save_session
+from blockaudit import load_session, save_session
 from blockaudit.cli import main
 from blockaudit.config import ConfigError, load_config, validate_config
 
@@ -159,12 +159,13 @@ class TestAudit:
     def test_non_finite_sample_named_and_exit_1(self, session_dir, tmp_path,
                                                 capsys):
         good = load_session(session_dir / "s01_block.baud")
-        samples = good.samples.copy()
-        samples[3, 100] = np.nan
         path = tmp_path / "nan.baud"
-        save_session(Session(samples=samples, sample_rate=good.sample_rate,
-                             subject_id=good.subject_id, events=good.events),
-                     path)
+        save_session(good, path)
+        # the payload is channel-major float32 and ends the file
+        data = bytearray(path.read_bytes())
+        at = len(data) - (good.channels - 3) * good.num_samples * 4 + 100 * 4
+        data[at : at + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="channel 3, sample 100"):
             load_session(path)
         code = main(["audit", "--input", str(path), "--out", str(tmp_path / "r")])

@@ -10,14 +10,7 @@ from blockaudit import (
     train_ridge_regressor,
     transfer_svm_compare,
 )
-from blockaudit.codebook import (
-    codebook_stimulus_labels,
-    load_codebook,
-    load_feature_set,
-    ridge_objective_gradient_norm,
-    save_codebook,
-    save_feature_set,
-)
+from blockaudit.codebook import ridge_objective_gradient_norm
 
 
 class TestGenerateCodebook:
@@ -198,31 +191,3 @@ class TestTransferCompare:
         )
         with pytest.raises(ValueError, match="single-class"):
             transfer_svm_compare(regressor, target)
-
-
-class TestPersistence:
-    def test_codebook_round_trip(self, tmp_path):
-        cb = generate_codebook(4, 3, 2, dim=8, seed=20)
-        path = tmp_path / "cb.baud"
-        save_codebook(cb, path)
-        clone = load_codebook(path)
-        np.testing.assert_array_equal(clone.class_codewords, cb.class_codewords)
-        np.testing.assert_array_equal(clone.instance_codewords,
-                                      cb.instance_codewords)
-        assert clone.noise_variance == cb.noise_variance
-
-    def test_feature_set_round_trip(self, tmp_path):
-        fs = make_clustered_features(3, 4, dim=10, seed=21)
-        path = tmp_path / "fs.baud"
-        save_feature_set(fs, path)
-        clone = load_feature_set(path)
-        np.testing.assert_array_equal(clone.vectors, fs.vectors)
-        np.testing.assert_array_equal(clone.labels, fs.labels)
-        assert list(clone.split_tags) == list(fs.split_tags)
-
-    def test_wrong_role_rejected(self, tmp_path):
-        fs = make_clustered_features(3, 4, dim=10, seed=22)
-        path = tmp_path / "fs.baud"
-        save_feature_set(fs, path)
-        with pytest.raises(ValueError, match="codebook"):
-            load_codebook(path)

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockaudit import (
-    DesignKind,
     Session,
     TrialEvent,
-    check_design,
     concat_trials,
     load_session,
     save_session,
@@ -111,8 +109,9 @@ class TestContainerErrors:
         payload = np.zeros(50, dtype="<f4").tobytes()
         path = tmp_path / "bad"
         path.write_bytes(struct.pack("<4sHI", MAGIC, 1, len(header)) + header + payload)
-        with pytest.raises(ValueError, match="out of bounds"):
+        with pytest.raises(ValueError, match="out of bounds") as info:
             load_session(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "bad"
@@ -149,6 +148,14 @@ class TestSessionInvariants:
         with pytest.raises(ValueError, match="length_samples"):
             TrialEvent(0, 0, 0, 0, 0)
 
+    def test_rejects_non_finite_sample(self):
+        samples = np.zeros((3, 50), dtype=np.float32)
+        samples[2, 17] = np.inf
+        with pytest.raises(ValueError,
+                           match="non-finite sample inf at channel 2, sample 17"):
+            Session(samples=samples, sample_rate=100.0, subject_id="s01",
+                    events=())
+
     def test_samples_read_only(self, tiny_session):
         with pytest.raises(ValueError):
             tiny_session.samples[0, 0] = 1.0
@@ -161,20 +168,6 @@ class TestSessionInvariants:
                 tmp_path / "never",
             )
         assert not (tmp_path / "never").exists()
-
-
-class TestDesignCheck:
-    def test_block_design_one_class_per_block(self, tiny_session):
-        check_design(tiny_session, DesignKind.BLOCK)
-
-    def test_block_design_rejects_mixed_block(self):
-        session = make_session(events=(
-            TrialEvent(0, 0, 0, 0, 10),
-            TrialEvent(1, 1, 0, 10, 10),
-        ))
-        with pytest.raises(ValueError, match="mixes classes"):
-            check_design(session, DesignKind.BLOCK)
-        check_design(session, DesignKind.RAPID_EVENT)  # no constraint
 
 
 class TestSegment:

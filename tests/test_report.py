@@ -8,7 +8,6 @@ from blockaudit.report import (
     ablation_csv_text,
     fmt_accuracy,
     grid_csv_text,
-    ranking_csv_text,
     spectra_csv_text,
 )
 
@@ -66,13 +65,6 @@ class TestOtherCsv:
         lines = spectra_csv_text(spectrum).strip().splitlines()
         assert lines[0] == "freq_hz,ch0,ch1"
         assert len(lines) == 1 + 33
-
-    def test_ranking_csv(self):
-        scores = np.array([0.5, 2.0, 1.0])
-        order = np.array([1, 2, 0])
-        lines = ranking_csv_text(scores, order).strip().splitlines()
-        assert lines[0] == "channel,score"
-        assert lines[1].startswith("1,")
 
     def test_ablation_csv(self, drift_session):
         spec = ba.GridSpec(

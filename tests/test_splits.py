@@ -173,14 +173,6 @@ class TestPlanInvariants:
                       test=np.array([], dtype=int), regime="within_block",
                       num_trials=3)
 
-    def test_json_round_trip(self):
-        plan = SplitPlan(train=np.array([0, 1]), validation=np.array([2]),
-                         test=np.array([3]), regime="block_disjoint",
-                         num_trials=4)
-        clone = SplitPlan.from_dict(plan.to_dict())
-        np.testing.assert_array_equal(clone.train, plan.train)
-        assert clone.regime == plan.regime
-
 
 class TestRelabelBlocks:
     def test_block_design_is_renaming(self):

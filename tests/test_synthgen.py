@@ -7,7 +7,6 @@ from blockaudit import (
     EvokedParams,
     FilterSpec,
     apply_filter,
-    check_design,
     design_filter,
     generate_session,
     make_block_schedule,
@@ -110,7 +109,9 @@ class TestGenerateSession:
         ses = generate_session(sched, 2, 100.0, DriftParams(0, 0, 1),
                                EvokedParams(), "s01", 0)
         assert len(ses.events) == 12
-        check_design(ses, DesignKind.BLOCK)
+        block_label = {}
+        for ev in ses.events:  # one class per block
+            assert block_label.setdefault(ev.block_id, ev.class_label) == ev.class_label
         stim = 20  # 200 ms at 100 Hz
         for ev in ses.events:
             assert ev.length_samples == stim
