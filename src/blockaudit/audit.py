@@ -16,7 +16,6 @@ enter the derivation, so ablations are exactly paired.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import product
@@ -115,6 +114,17 @@ class GridSpec:
             raise ValueError("grid axes must be non-empty")
         if not self.filter_configs:
             raise ValueError("at least one filter config is required")
+        # cells are keyed by these values, so a repeat would overwrite cells
+        for axis, values in (
+            ("classifiers", self.classifiers),
+            ("windows_ms", self.windows_ms),
+            ("channel_counts", self.channel_counts),
+            ("splits", tuple(s.regime for s in self.splits)),
+            ("filter_configs", tuple(fc.name for fc in self.filter_configs)),
+        ):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"grid axis {axis} repeats {value!r}")
 
     @property
     def segmentation_window_ms(self) -> float:
@@ -228,22 +238,15 @@ def _check_no_leakage(fit_indices: set[int], test_indices: np.ndarray) -> None:
         )
 
 
-def _sessions_to_matrix(
-    data: Session | TrialMatrix | Sequence[Session],
-    fc: FilterConfig,
-    spec: GridSpec,
+def _filter_and_segment(
+    session: Session, fc: FilterConfig, spec: GridSpec
 ) -> TrialMatrix:
-    if isinstance(data, TrialMatrix):
-        return data
-    sessions = [data] if isinstance(data, Session) else list(data)
-    mats = []
-    for s in sessions:
-        if fc.zscore_stage == "after_filter":
-            for fspec in fc.filters:
-                s = dsp.apply_filter(dsp.design_filter(fspec), s, mode=fc.mode)
-        # before_filter: trials are filtered after normalization, per cell
-        mats.append(segment(s, spec.start_offset_ms, spec.segmentation_window_ms))
-    return mats[0] if len(mats) == 1 else concat_trials(mats)
+    # the filtered session is freed on return, before the grid runs
+    if fc.zscore_stage == "after_filter":
+        for fspec in fc.filters:
+            session = dsp.apply_filter(dsp.design_filter(fspec), session, mode=fc.mode)
+    # before_filter: trials are filtered after normalization, per cell
+    return segment(session, spec.start_offset_ms, spec.segmentation_window_ms)
 
 
 def _build_plans(
@@ -271,7 +274,7 @@ def _train_cell_model(kind, x_train, y_train, spec, train_seed, num_classes):
         pool_stride=spec.cnn_pool_stride,
         classes=num_classes,
     )
-    return clf.train_cnn1d(x_train, cnn_cfg, cfg, labels=y_train)
+    return clf.train_cnn1d(x_train, y_train, cnn_cfg, cfg)
 
 
 def _error_cell(num_classes: int, exc: Exception) -> CellResult:
@@ -421,10 +424,8 @@ def _evaluate_group(
                         kind, xt, y_train, spec, train_seeds[key], num_classes
                     )
                     preds = model.predict(xe)
-                    conf = np.zeros((num_classes, num_classes), dtype=np.int64)
-                    np.add.at(conf, (y_test, preds), 1)
                     acc[key].add(
-                        conf, y_train.size,
+                        clf._confusion(y_test, preds, num_classes), y_train.size,
                         _block_outcomes(
                             preds, y_test, test_matrix.block_ids, num_classes
                         ),
@@ -435,38 +436,36 @@ def _evaluate_group(
 
 
 def run_grid(
-    data: Session | TrialMatrix | Sequence[Session],
+    data: Session | Sequence[Session],
     spec: GridSpec,
     label_mode: str = "stimulus",
-    threads: int = 1,
 ) -> GridResult:
     """Evaluate the full grid on a session (or pooled sessions).
 
     ``label_mode="block"`` relabels trials by block before anything else
     (the relabeling probe).  Cell failures are recorded in the cell, never
-    raised; a leakage violation is always raised.  With the same spec, data,
-    and seed the result is identical regardless of ``threads``.
+    raised; a leakage violation is always raised.
     """
     if max(spec.windows_ms) > spec.segmentation_window_ms:
         raise ValueError("windows_ms exceed the segmentation window")
-    base_by_fc: dict[str, TrialMatrix] = {}
+    if label_mode not in ("stimulus", "block"):
+        raise ValueError(f"unknown label_mode {label_mode!r}")
+    sessions = [data] if isinstance(data, Session) else list(data)
+    bases: list[TrialMatrix] = []
     for fc in spec.filter_configs:
-        matrix = _sessions_to_matrix(data, fc, spec)
+        mats = [_filter_and_segment(s, fc, spec) for s in sessions]
+        matrix = mats[0] if len(mats) == 1 else concat_trials(mats)
         if label_mode == "block":
             matrix = splits_mod.relabel_blocks(matrix)
-        elif label_mode != "stimulus":
-            raise ValueError(f"unknown label_mode {label_mode!r}")
-        base_by_fc[fc.name] = matrix
-    ref = base_by_fc[spec.filter_configs[0].name]
+        bases.append(matrix)
+    ref = bases[0]
     num_classes = int(ref.labels.max()) + 1
+    plans = [
+        _build_plans(ref, split, _derive_seed(spec.seed, _SEED_SPLIT, si))
+        for si, split in enumerate(spec.splits)
+    ]
 
-    plans_by_regime: dict[str, list[splits_mod.SplitPlan]] = {}
-    for si, split in enumerate(spec.splits):
-        plans_by_regime[split.regime] = _build_plans(
-            ref, split, _derive_seed(spec.seed, _SEED_SPLIT, si)
-        )
-
-    groups = []
+    cells = {}
     for (fi, fc), (si, split), (wi, w) in product(
         enumerate(spec.filter_configs),
         enumerate(spec.splits),
@@ -478,28 +477,13 @@ def run_grid(
                 enumerate(spec.channel_counts), enumerate(spec.classifiers)
             )
         }
-        groups.append((fc, split, w, wi, train_seeds))
-
-    def _run(group):
-        fc, split, w, wi, train_seeds = group
-        return _evaluate_group(
-            base_by_fc[fc.name],
-            plans_by_regime[split.regime],
-            spec, fc, w,
+        group = _evaluate_group(
+            bases[fi], plans[si], spec, fc, w,
             crop_seed=_derive_seed(spec.seed, _SEED_CROP, wi),
             train_seeds=train_seeds,
             num_classes=num_classes,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run, groups))
-    else:
-        results = [_run(g) for g in groups]
-
-    cells = {}
-    for (fc, split, w, _, _), group_cells in zip(groups, results):
-        for (ch, kind), res in group_cells.items():
+        for (ch, kind), res in group.items():
             key = (fc.name, split.regime, w, ch if ch > 0 else ref.channels, kind)
             cells[key] = res
     return GridResult(
@@ -518,7 +502,6 @@ def run_grid(
 def relabel_analysis(
     data: Session | Sequence[Session],
     spec: GridSpec,
-    threads: int = 1,
 ) -> GridResult:
     """Grid run with block-identity labels under within-block splits.
 
@@ -537,7 +520,7 @@ def relabel_analysis(
         )
         or (SplitSpec(splits_mod.WITHIN_BLOCK),),
     )
-    return run_grid(data, forced, label_mode="block", threads=threads)
+    return run_grid(data, forced, label_mode="block")
 
 
 @dataclass(frozen=True)
@@ -562,7 +545,6 @@ def highpass_ablation(
     data: Session | Sequence[Session],
     cutoffs_hz: Sequence[float],
     base_spec: GridSpec,
-    threads: int = 1,
 ) -> AblationResult:
     """Re-run the identical grid with a highpass prepended per cutoff.
 
@@ -574,7 +556,7 @@ def highpass_ablation(
     for c in cutoffs_hz:
         if not 0 < c < rate / 2:
             raise ValueError(f"cutoff {c} Hz outside (0, Nyquist)")
-    baseline = run_grid(data, base_spec, threads=threads)
+    baseline = run_grid(data, base_spec)
     by_cutoff = {}
     for cutoff in cutoffs_hz:
         hp = dsp.FilterSpec.highpass(cutoff, rate, order=2)
@@ -585,7 +567,7 @@ def highpass_ablation(
                 for fc in base_spec.filter_configs
             ),
         )
-        by_cutoff[float(cutoff)] = run_grid(data, spec_hp, threads=threads)
+        by_cutoff[float(cutoff)] = run_grid(data, spec_hp)
     return AblationResult(baseline=baseline, by_cutoff=by_cutoff)
 
 

@@ -505,18 +505,14 @@ class Cnn1dModel:
 
 
 def train_cnn1d(
-    trials,
+    train_x: np.ndarray,
+    train_y: np.ndarray,
     config: Cnn1dConfig,
     train_config: TrainConfig = TrainConfig(),
-    labels: np.ndarray | None = None,
 ) -> Cnn1dModel:
-    """Train the 1-D CNN on a TrialMatrix, or on a bare (N, ch, W) array
-    with ``labels`` passed separately."""
-    x = trials.trials if hasattr(trials, "trials") else np.asarray(trials)
-    y = labels if labels is not None else getattr(trials, "labels", None)
-    if y is None:
-        raise ValueError("train_cnn1d needs labeled trials")
-    y = np.asarray(y, dtype=np.int64)
+    """Train the 1-D CNN on an (N, ch, W) trial stack."""
+    x = np.asarray(train_x)
+    y = np.asarray(train_y, dtype=np.int64)
     if np.unique(y).size < 2:
         raise ValueError("CNN training needs at least 2 classes")
     dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
@@ -571,7 +567,12 @@ def evaluate_accuracy(model, x: np.ndarray, y: np.ndarray,
         raise ValueError("empty test set")
     preds = model.predict(x)
     c = num_classes or int(max(y.max(), preds.max())) + 1
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (y, preds), 1)
     accuracy = float((preds == y).mean())
-    return accuracy, confusion
+    return accuracy, _confusion(y, preds, c)
+
+
+def _confusion(y: np.ndarray, preds: np.ndarray, num_classes: int) -> np.ndarray:
+    """(num_classes, num_classes) counts of (true, predicted) pairs."""
+    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    np.add.at(confusion, (y, preds), 1)
+    return confusion

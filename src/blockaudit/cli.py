@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--input", type=Path, action="append")
     aud.add_argument("--out", type=Path)
     aud.add_argument("--seed", type=int)
-    aud.add_argument("--threads", type=int)
     aud.add_argument("--relabel", action=argparse.BooleanOptionalAction)
     aud.add_argument(
         "--highpass-cutoffs", type=str, help="comma-separated cutoffs in Hz"
@@ -221,8 +220,6 @@ def _cmd_audit(args) -> int:
         overrides["out"] = str(args.out)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.relabel is not None:
         overrides["relabel"] = args.relabel
     if args.highpass_cutoffs is not None:
@@ -235,22 +232,21 @@ def _cmd_audit(args) -> int:
     rate = sessions[0].sample_rate
     spec = config_mod.build_grid_spec(cfg["grid"], rate, cfg["seed"])
     data = sessions[0] if len(sessions) == 1 else sessions
-    threads = cfg["threads"]
 
     print(f"running grid: {len(spec.classifiers)} classifiers x "
           f"{len(spec.windows_ms)} windows x {len(spec.channel_counts)} channel "
           f"counts x {len(spec.splits)} splits x {len(spec.filter_configs)} "
           f"filter configs")
-    main = audit_mod.run_grid(data, spec, threads=threads)
+    main = audit_mod.run_grid(data, spec)
 
     relabel_result = None
     if cfg["relabel"]:
-        relabel_result = audit_mod.relabel_analysis(data, spec, threads=threads)
+        relabel_result = audit_mod.relabel_analysis(data, spec)
 
     ablation = None
     if cfg["highpass_cutoffs_hz"]:
         ablation = audit_mod.highpass_ablation(
-            data, cfg["highpass_cutoffs_hz"], spec, threads=threads
+            data, cfg["highpass_cutoffs_hz"], spec
         )
 
     seg = min(cfg["spectrum"]["segment_samples"], sessions[0].num_samples)

@@ -203,7 +203,6 @@ SCHEMAS: dict[str, dict] = {
                 },
                 "additionalProperties": False,
             },
-            "threads": {"type": "integer", "minimum": 1},
         },
         "required": ["schema_version", "inputs", "out"],
         "additionalProperties": False,
@@ -348,7 +347,6 @@ DEFAULTS: dict[str, dict] = {
             "segment_samples": 4096, "overlap_fraction": 0.5, "vlf_cutoff_hz": 5.0,
         },
         "verdict": {"alpha": 0.01, "high_multiple": 3.0, "comparable_points": 0.10},
-        "threads": 1,
     },
     "codebook": {
         "schema_version": SCHEMA_VERSION,
@@ -430,50 +428,56 @@ def build_filter_spec(d: dict, sample_rate: float) -> dsp.FilterSpec:
 
 
 def build_grid_spec(grid: dict, sample_rate: float, seed: int) -> audit.GridSpec:
+    """The audit grid of a validated config; an invalid grid, such as a
+    repeated axis entry or a filter edge above Nyquist, raises ConfigError."""
     train = grid["train"]
-    return audit.GridSpec(
-        classifiers=tuple(grid["classifiers"]),
-        windows_ms=tuple(float(w) for w in grid["windows_ms"]),
-        channel_counts=tuple(int(c) for c in grid["channel_counts"]),
-        splits=tuple(
-            audit.SplitSpec(
-                regime=s["regime"],
-                fractions=tuple(s.get("fractions", [0.8, 0.1, 0.1])),
-            )
-            for s in grid["splits"]
-        ),
-        filter_configs=tuple(
-            audit.FilterConfig(
-                name=fc["name"],
-                filters=tuple(
-                    build_filter_spec(f, sample_rate) for f in fc.get("filters", [])
-                ),
-                zscore_scope=fc.get("zscore_scope", "train_statistics"),
-                mode=fc.get("mode", "zero_phase"),
-                zscore_stage=fc.get("zscore_stage", "after_filter"),
-            )
-            for fc in grid["filter_configs"]
-        ),
-        seed=seed,
-        start_offset_ms=float(grid["start_offset_ms"]),
-        base_window_ms=grid.get("base_window_ms"),
-        fisher_feature=grid["fisher_feature"],
-        knn_k=int(grid["knn_k"]),
-        svm_l2=float(grid["svm_l2"]),
-        mlp_hidden=int(grid["mlp_hidden"]),
-        train_config=classifiers.TrainConfig(
+    try:
+        return audit.GridSpec(
+            classifiers=tuple(grid["classifiers"]),
+            windows_ms=tuple(float(w) for w in grid["windows_ms"]),
+            channel_counts=tuple(int(c) for c in grid["channel_counts"]),
+            splits=tuple(
+                audit.SplitSpec(
+                    regime=s["regime"],
+                    fractions=tuple(s.get("fractions", [0.8, 0.1, 0.1])),
+                )
+                for s in grid["splits"]
+            ),
+            filter_configs=tuple(
+                audit.FilterConfig(
+                    name=fc["name"],
+                    filters=tuple(
+                        build_filter_spec(f, sample_rate)
+                        for f in fc.get("filters", [])
+                    ),
+                    zscore_scope=fc.get("zscore_scope", "train_statistics"),
+                    mode=fc.get("mode", "zero_phase"),
+                    zscore_stage=fc.get("zscore_stage", "after_filter"),
+                )
+                for fc in grid["filter_configs"]
+            ),
             seed=seed,
-            epochs=int(train["epochs"]),
-            batch_size=int(train["batch_size"]),
-            learning_rate=float(train["learning_rate"]),
-            momentum=float(train["momentum"]),
-            weight_decay=float(train["weight_decay"]),
-        ),
-        cnn_kernels=int(grid["cnn"]["kernels"]),
-        cnn_kernel_len=int(grid["cnn"]["kernel_len"]),
-        cnn_pool_len=int(grid["cnn"]["pool_len"]),
-        cnn_pool_stride=int(grid["cnn"]["pool_stride"]),
-    )
+            start_offset_ms=float(grid["start_offset_ms"]),
+            base_window_ms=grid.get("base_window_ms"),
+            fisher_feature=grid["fisher_feature"],
+            knn_k=int(grid["knn_k"]),
+            svm_l2=float(grid["svm_l2"]),
+            mlp_hidden=int(grid["mlp_hidden"]),
+            train_config=classifiers.TrainConfig(
+                seed=seed,
+                epochs=int(train["epochs"]),
+                batch_size=int(train["batch_size"]),
+                learning_rate=float(train["learning_rate"]),
+                momentum=float(train["momentum"]),
+                weight_decay=float(train["weight_decay"]),
+            ),
+            cnn_kernels=int(grid["cnn"]["kernels"]),
+            cnn_kernel_len=int(grid["cnn"]["kernel_len"]),
+            cnn_pool_len=int(grid["cnn"]["pool_len"]),
+            cnn_pool_stride=int(grid["cnn"]["pool_stride"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid audit config at grid: {exc}") from exc
 
 
 def build_drift(d: dict) -> synthgen.DriftParams:

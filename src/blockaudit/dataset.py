@@ -247,25 +247,27 @@ def load_session(path: str | Path) -> Session:
         )
     samples = np.frombuffer(payload, dtype="<f4").reshape(channels, num_samples)
     try:
-        events = tuple(
-            TrialEvent(
-                trial_id=int(ev["trial_id"]),
-                class_label=int(ev["class_label"]),
-                block_id=int(ev["block_id"]),
-                onset_sample=int(ev["onset_sample"]),
-                length_samples=int(ev["length_samples"]),
+        try:
+            events = tuple(
+                TrialEvent(
+                    trial_id=int(ev["trial_id"]),
+                    class_label=int(ev["class_label"]),
+                    block_id=int(ev["block_id"]),
+                    onset_sample=int(ev["onset_sample"]),
+                    length_samples=int(ev["length_samples"]),
+                )
+                for ev in header["events"]
             )
-            for ev in header["events"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ContainerError(f"{path}: malformed header: bad event entry") from exc
-    try:
+        except (KeyError, TypeError) as exc:
+            raise ContainerError(f"{path}: malformed header: bad event entry") from exc
         return Session(
             samples=samples,
             sample_rate=float(header["sample_rate_hz"]),
             subject_id=str(header["subject_id"]),
             events=events,
         )
+    except ContainerError:
+        raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -469,31 +469,27 @@ def _welch_segments(x: np.ndarray, nperseg: int, hop: int):
 
 
 def power_spectrum(
-    data: Session | TrialMatrix | np.ndarray,
+    data: Session | np.ndarray,
     segment_samples: int,
     overlap_fraction: float = 0.5,
     sample_rate: float | None = None,
 ) -> PowerSpectrum:
     """Welch-averaged one-sided periodogram with a periodic Hann window.
 
-    For a TrialMatrix, segments are drawn from every trial and averaged
-    together.  ``segment_samples`` must not exceed the available length.
+    ``segment_samples`` must not exceed the available length.
     """
     if isinstance(data, Session):
-        arrays = [data.samples]
-        fs = data.sample_rate
-    elif isinstance(data, TrialMatrix):
-        arrays = [data.trials[i] for i in range(data.num_trials)]
+        x = data.samples
         fs = data.sample_rate
     else:
-        arrays = [np.atleast_2d(np.asarray(data))]
+        x = np.atleast_2d(np.asarray(data))
         if sample_rate is None:
             raise ValueError("sample_rate is required for bare arrays")
         fs = sample_rate
     nperseg = int(segment_samples)
     if nperseg < 2:
         raise ValueError("segment_samples must be >= 2")
-    if any(a.shape[-1] < nperseg for a in arrays):
+    if x.shape[-1] < nperseg:
         raise ValueError("segment_samples exceeds available samples")
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError("overlap_fraction must be in [0, 1)")
@@ -503,18 +499,16 @@ def power_spectrum(
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / nperseg)  # periodic Hann
     win_power = float(np.sum(window**2))
 
-    channels = arrays[0].shape[0]
     nbins = nperseg // 2 + 1
-    acc = np.zeros((channels, nbins), dtype=np.float64)
+    acc = np.zeros((x.shape[0], nbins), dtype=np.float64)
     count = 0
-    for arr in arrays:
-        for seg in _welch_segments(arr.astype(np.float64, copy=False), nperseg, hop):
-            spec = np.fft.rfft(seg * window, axis=-1)
-            p = (spec.real**2 + spec.imag**2) / (nperseg * win_power)
-            # one-sided: double everything except DC (and Nyquist when even)
-            p[..., 1 : nbins - 1 if nperseg % 2 == 0 else nbins] *= 2.0
-            acc += p
-            count += 1
+    for seg in _welch_segments(x.astype(np.float64, copy=False), nperseg, hop):
+        spec = np.fft.rfft(seg * window, axis=-1)
+        p = (spec.real**2 + spec.imag**2) / (nperseg * win_power)
+        # one-sided: double everything except DC (and Nyquist when even)
+        p[..., 1 : nbins - 1 if nperseg % 2 == 0 else nbins] *= 2.0
+        acc += p
+        count += 1
     if count == 0:
         raise ValueError("no full segment fits the data")
     freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)

@@ -95,14 +95,12 @@ class TestRunGrid:
         result = run_grid(session, small_spec(256.0))
         assert issue_verdict(result).status is VerdictStatus.NO_SIGNAL
 
-    def test_reproducible_and_thread_invariant(self, drift_session):
+    def test_reproducible(self, drift_session):
         spec = small_spec(256.0, windows=(440.0, 100.0), channels=(0, 4))
         a = run_grid(drift_session, spec)
         b = run_grid(drift_session, spec)
-        c = run_grid(drift_session, spec, threads=2)
         for key in a.cells:
             assert a.cells[key].accuracy == b.cells[key].accuracy
-            assert a.cells[key].accuracy == c.cells[key].accuracy
             assert a.cells[key].p_value == b.cells[key].p_value
 
     def test_cell_error_recorded_not_fatal(self, drift_session):
@@ -146,6 +144,23 @@ class TestRunGrid:
         cell = next(iter(result.cells.values()))
         assert cell.n_test == 3 * 4 * 8  # every trial tested exactly once
         assert cell.block_p_value >= 0.01  # drift carries nothing across subjects
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("axis, values, shown", [
+        ("classifiers", ("knn", "svm", "knn"), "'knn'"),
+        ("windows_ms", (440.0, 100.0, 440.0), "440.0"),
+        ("channel_counts", (0, 4, 4), "4"),
+        ("splits", (SplitSpec(sp.WITHIN_BLOCK),
+                    SplitSpec(sp.WITHIN_BLOCK, (0.6, 0.2, 0.2))), "'within_block'"),
+        ("filter_configs", (FilterConfig(name="raw"),
+                            FilterConfig(name="raw", mode="causal")), "'raw'"),
+    ], ids=["classifiers", "windows_ms", "channel_counts", "splits",
+            "filter_configs"])
+    def test_repeated_axis_entry_rejected(self, axis, values, shown):
+        # a repeat would silently overwrite cells keyed by the same value
+        with pytest.raises(ValueError, match=f"grid axis {axis} repeats {shown}"):
+            replace(small_spec(256.0), **{axis: values})
 
 
 class TestLeakageGuard:
@@ -265,8 +280,8 @@ class TestHighpassAblation:
                 FilterConfig(name="post"))
         spec = replace(small_spec(256.0), filter_configs=arms)
         seen = []
-        monkeypatch.setattr(ba.audit, "run_grid", lambda data, s, threads=1:
-                            seen.append(s.filter_configs))
+        monkeypatch.setattr(ba.audit, "run_grid",
+                            lambda data, s: seen.append(s.filter_configs))
         highpass_ablation(drift_session, [14.0], spec)
         baseline, ablated = seen
         assert baseline == arms

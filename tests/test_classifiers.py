@@ -223,8 +223,8 @@ class TestCnnShapes:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((6, 3, 32))
         y = rng.integers(0, 3, 6)
-        model = train_cnn1d(x, cfg, TrainConfig(seed=0, epochs=2,
-                                                learning_rate=1e-3), labels=y)
+        model = train_cnn1d(x, y, cfg, TrainConfig(seed=0, epochs=2,
+                                                   learning_rate=1e-3))
         np.testing.assert_array_equal(model.logits(x), model.logits(x))
 
     def test_training_masks_vary_by_step(self):

@@ -151,6 +151,26 @@ class TestAudit:
                 replay_dir / name
             ).read_bytes(), name
 
+    def test_manifest_with_threads_rejected(self, report_dir, tmp_path, capsys):
+        manifest = json.loads((report_dir / "manifest.json").read_text())
+        manifest["config"]["out"] = str(tmp_path / "replay")
+        manifest["config"]["threads"] = 1
+        cfg = tmp_path / "old_manifest.json"
+        cfg.write_text(json.dumps(manifest))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        assert "threads" in capsys.readouterr().err
+
+    def test_repeated_grid_axis_exit_2(self, session_dir, tmp_path, capsys):
+        grid = dict(AUDIT_GRID, splits=AUDIT_GRID["splits"][:1] * 2)
+        cfg = tmp_path / "repeat.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "out": str(tmp_path / "r"), "grid": grid,
+            "inputs": [str(session_dir / "s01_block.baud")],
+        }))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "grid axis splits repeats 'within_block'" in err
+
     def test_missing_input_error(self, tmp_path):
         code = main(["audit", "--input", str(tmp_path / "m.baud"),
                      "--out", str(tmp_path / "r")])

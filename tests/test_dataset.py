@@ -99,17 +99,21 @@ class TestContainerErrors:
         with pytest.raises(ContainerError, match="payload"):
             load_session(path)
 
-    def test_event_out_of_bounds_in_file(self, tmp_path):
+    @pytest.mark.parametrize("onset, length, message", [
+        (100, 5, "out of bounds"),
+        (0, 0, "trial 0: length_samples must be > 0"),
+    ], ids=["out_of_bounds", "zero_length"])
+    def test_bad_event_in_file_names_path(self, tmp_path, onset, length, message):
         header = json.dumps({
             "channels": 1, "sample_rate_hz": 100.0, "subject_id": "x",
             "num_samples": 50,
             "events": [{"trial_id": 0, "class_label": 0, "block_id": 0,
-                        "onset_sample": 100, "length_samples": 5}],
+                        "onset_sample": onset, "length_samples": length}],
         }).encode()
         payload = np.zeros(50, dtype="<f4").tobytes()
         path = tmp_path / "bad"
         path.write_bytes(struct.pack("<4sHI", MAGIC, 1, len(header)) + header + payload)
-        with pytest.raises(ValueError, match="out of bounds") as info:
+        with pytest.raises(ValueError, match=message) as info:
             load_session(path)
         assert str(info.value).startswith(f"{path}: ")
 
