@@ -401,10 +401,11 @@ def _evaluate_group(
         y_train = train_matrix.labels
         y_test = test_matrix.labels
         for channels in dict.fromkeys(ch for ch, _ in inner):
-            m = channels if channels > 0 else matrix.channels
             try:
-                x_train3 = features.select_channels(train_matrix, ranking, m).trials
-                x_test3 = features.select_channels(test_matrix, ranking, m).trials
+                x_train3, x_test3 = (
+                    features.select_channels(mat, ranking, channels).trials
+                    for mat in (train_matrix, test_matrix)
+                )
             except ValueError as exc:
                 for key in inner:
                     if key[0] == channels:
@@ -460,6 +461,12 @@ def run_grid(
         bases.append(matrix)
     ref = bases[0]
     num_classes = int(ref.labels.max()) + 1
+    # 0 means all channels; a count that repeats once resolved is evaluated
+    # once, under the training-seed index of its last occurrence
+    channel_index = {
+        ch if ch > 0 else ref.channels: ci
+        for ci, ch in enumerate(spec.channel_counts)
+    }
     plans = [
         _build_plans(ref, split, _derive_seed(spec.seed, _SEED_SPLIT, si))
         for si, split in enumerate(spec.splits)
@@ -473,8 +480,8 @@ def run_grid(
     ):
         train_seeds = {
             (ch, kind): _derive_seed(spec.seed, _SEED_TRAIN, si, wi, ci, ki)
-            for (ci, ch), (ki, kind) in product(
-                enumerate(spec.channel_counts), enumerate(spec.classifiers)
+            for (ch, ci), (ki, kind) in product(
+                channel_index.items(), enumerate(spec.classifiers)
             )
         }
         group = _evaluate_group(
@@ -484,14 +491,11 @@ def run_grid(
             num_classes=num_classes,
         )
         for (ch, kind), res in group.items():
-            key = (fc.name, split.regime, w, ch if ch > 0 else ref.channels, kind)
-            cells[key] = res
+            cells[(fc.name, split.regime, w, ch, kind)] = res
     return GridResult(
         cells=cells,
         windows_ms=spec.windows_ms,
-        channel_counts=tuple(
-            ch if ch > 0 else ref.channels for ch in spec.channel_counts
-        ),
+        channel_counts=tuple(channel_index),
         classifiers=spec.classifiers,
         filter_names=tuple(fc.name for fc in spec.filter_configs),
         regimes=tuple(s.regime for s in spec.splits),

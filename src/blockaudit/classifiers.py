@@ -89,10 +89,11 @@ def _vote(labels_k: np.ndarray, num_classes: int) -> np.ndarray:
     return counts.argmax(axis=1)
 
 
+_KNN_CHUNK = 256  # query rows per distance block, bounding its memory
+
+
 class KnnModel:
     """Euclidean k-nearest-neighbor classifier over flattened trials."""
-
-    kind = "knn"
 
     def __init__(self, train_x: np.ndarray, train_y: np.ndarray, k: int = 7):
         train_x = np.asarray(train_x)
@@ -109,11 +110,11 @@ class KnnModel:
         self.num_classes = int(train_y.max()) + 1
         self._sq_norms = np.einsum("nd,nd->n", train_x, train_x)
 
-    def predict(self, queries: np.ndarray, chunk: int = 256) -> np.ndarray:
+    def predict(self, queries: np.ndarray) -> np.ndarray:
         queries = np.atleast_2d(np.asarray(queries))
         out = np.empty(queries.shape[0], dtype=np.int64)
-        for start in range(0, queries.shape[0], chunk):
-            q = queries[start : start + chunk]
+        for start in range(0, queries.shape[0], _KNN_CHUNK):
+            q = queries[start : start + _KNN_CHUNK]
             d2 = (
                 np.einsum("md,md->m", q, q)[:, None]
                 - 2.0 * (q @ self.x.T)
@@ -121,7 +122,7 @@ class KnnModel:
             )
             # stable sort: equidistant neighbors resolve to lower trial index
             nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            out[start : start + chunk] = _vote(self.y[nearest], self.num_classes)
+            out[start : start + _KNN_CHUNK] = _vote(self.y[nearest], self.num_classes)
         return out
 
 
@@ -136,8 +137,6 @@ class LinearModel:
     training; ``loss_kind="squared"`` is the differentiable variant used by
     gradient checking.
     """
-
-    kind = "linear"
 
     def __init__(self, weights: np.ndarray, biases: np.ndarray,
                  l2: float = 0.0, loss_kind: str = "hinge"):
@@ -255,8 +254,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class MlpModel:
     """Two fully connected layers with a sigmoid after the first."""
 
-    kind = "mlp"
-
     def __init__(self, w1, b1, w2, b2, weight_decay: float = 0.0):
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
         self.weight_decay = float(weight_decay)
@@ -370,8 +367,6 @@ class Cnn1dConfig:
 
 class Cnn1dModel:
     """The 1-D CNN with explicit forward and backward passes."""
-
-    kind = "cnn1d"
 
     def __init__(self, config: Cnn1dConfig, channels: int, width: int,
                  seed: int, dtype=np.float64, weight_decay: float = 0.0):

@@ -3,8 +3,9 @@
 Exit codes signal operational failure only (0 done, 1 runtime error, 2 bad
 usage/config); the audit verdict lives in ``verdict.json``, never in the
 exit code.  Each command accepts ``--config`` (JSON, see
-``blockaudit.config.SCHEMAS``) with flags overriding file values, and writes
-a manifest that replays to identical results.
+``blockaudit.config.SCHEMAS``); every other flag overrides the config key
+named by its dest, and the manifest a command writes replays to identical
+results.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from . import audit as audit_mod
 from . import codebook as codebook_mod
 from . import config as config_mod
 from . import dsp, report, synthgen
-from .dataset import load_session, save_session, segment
+from .dataset import load_session, save_session
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -29,7 +30,23 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
+def _split(kind):
+    """argparse type: a comma-separated list of ``kind``, empty parts dropped."""
+    def parse(text: str) -> list:
+        return [kind(part) for part in text.split(",") if part]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
+
+
+def _path(text: str) -> str:
+    """argparse type: a path as the config records it (``rep/`` -> ``rep``)."""
+    return str(Path(text))
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each flag's dest is the config key it overrides (dotted for a nested
+    key), and a flag that is not given leaves no attribute behind."""
     parser = argparse.ArgumentParser(
         prog="blockaudit",
         description="Audit block-design contamination in trial-structured "
@@ -37,11 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="generate synthetic session files")
-    synth.add_argument("--config", type=Path)
-    synth.add_argument("--out", type=Path)
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--config", type=Path)
+        return cmd
+
+    synth = command("synth", "generate synthetic session files")
+    synth.add_argument("--out", type=_path)
     synth.add_argument("--seed", type=int)
-    synth.add_argument("--design", choices=["block", "rapid_event", "rapid-event"])
+    synth.add_argument("--design", type=lambda text: text.replace("-", "_"),
+                       choices=["block", "rapid_event"])
     synth.add_argument("--classes", type=int)
     synth.add_argument("--trials-per-class", type=int)
     synth.add_argument("--blocks-per-class", type=int)
@@ -50,20 +72,22 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--sample-rate", type=float)
     synth.add_argument("--stimulus-ms", type=float)
     synth.add_argument("--blank-ms", type=float)
-    synth.add_argument("--dc-sigma", type=float)
-    synth.add_argument("--walk-sigma", type=float)
-    synth.add_argument("--noise-sigma", type=float)
-    synth.add_argument("--evoked-amplitude", type=float)
-    synth.add_argument("--evoked-template-ms", type=float)
-    synth.add_argument("--evoked-center-hz", type=float)
-    synth.add_argument("--subjects", type=str, help="comma-separated ids")
+    synth.add_argument("--dc-sigma", type=float, dest="drift.dc_sigma")
+    synth.add_argument("--walk-sigma", type=float, dest="drift.walk_sigma")
+    synth.add_argument("--noise-sigma", type=float, dest="drift.noise_sigma")
+    synth.add_argument("--evoked-amplitude", type=float, dest="evoked.amplitude")
+    synth.add_argument("--evoked-template-ms", type=float,
+                       dest="evoked.template_ms")
+    synth.add_argument("--evoked-center-hz", type=float, dest="evoked.center_hz")
+    synth.add_argument("--subjects", type=_split(str), help="comma-separated ids")
 
-    pre = sub.add_parser("preprocess", help="filter/resample/rereference a session")
-    pre.add_argument("--config", type=Path)
-    pre.add_argument("--input", type=Path)
-    pre.add_argument("--out", type=Path)
-    pre.add_argument("--downsample", type=int)
-    pre.add_argument("--rereference", type=str, help="comma-separated channel indices")
+    pre = command("preprocess", "filter/resample/rereference a session")
+    pre.add_argument("--input", type=_path)
+    pre.add_argument("--out", type=_path)
+    pre.add_argument("--downsample", type=int, dest="downsample_factor")
+    pre.add_argument("--rereference", type=_split(int),
+                     help="comma-separated channel indices")
+    # the filter flags are not config keys: _cmd_preprocess assembles them
     pre.add_argument("--notch", type=_parse_pair, metavar="LOW,HIGH")
     pre.add_argument("--bandpass", type=_parse_pair, metavar="LOW,HIGH")
     pre.add_argument("--highpass", type=float)
@@ -71,74 +95,52 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--order", type=int, default=2)
     pre.add_argument("--mode", choices=["zero_phase", "causal"])
 
-    aud = sub.add_parser("audit", help="run the contamination audit")
-    aud.add_argument("--config", type=Path)
-    aud.add_argument("--input", type=Path, action="append")
-    aud.add_argument("--out", type=Path)
+    aud = command("audit", "run the contamination audit")
+    aud.add_argument("--input", type=_path, action="append", dest="inputs")
+    aud.add_argument("--out", type=_path)
     aud.add_argument("--seed", type=int)
     aud.add_argument("--relabel", action=argparse.BooleanOptionalAction)
-    aud.add_argument(
-        "--highpass-cutoffs", type=str, help="comma-separated cutoffs in Hz"
-    )
+    aud.add_argument("--highpass-cutoffs", type=_split(float),
+                     dest="highpass_cutoffs_hz",
+                     help="comma-separated cutoffs in Hz")
 
-    cb = sub.add_parser("codebook", help="run the random-codebook attack")
-    cb.add_argument("--config", type=Path)
-    cb.add_argument("--out", type=Path)
+    cb = command("codebook", "run the random-codebook attack")
+    cb.add_argument("--out", type=_path)
     cb.add_argument("--seed", type=int)
     cb.add_argument("--seeds", type=int)
 
-    spec = sub.add_parser("spectrum", help="Welch power spectrum of a session")
-    spec.add_argument("--config", type=Path)
-    spec.add_argument("--input", type=Path)
-    spec.add_argument("--out", type=Path)
+    spec = command("spectrum", "Welch power spectrum of a session")
+    spec.add_argument("--input", type=_path)
+    spec.add_argument("--out", type=_path)
     spec.add_argument("--segment-samples", type=int)
-    spec.add_argument("--overlap", type=float)
-    spec.add_argument("--vlf-cutoff", type=float)
+    spec.add_argument("--overlap", type=float, dest="overlap_fraction")
+    spec.add_argument("--vlf-cutoff", type=float, dest="vlf_cutoff_hz")
     return parser
 
 
-def _cmd_synth(args) -> int:
+def _load_config(command: str, flags: dict) -> dict:
+    """Defaults <- ``--config`` file <- flags, validated; ``flags`` maps each
+    given flag's dest (the config key, dotted when nested) to its value."""
+    path = flags.pop("config", None)
     overrides: dict = {}
-    for key, attr in [
-        ("seed", "seed"), ("classes", "classes"),
-        ("trials_per_class", "trials_per_class"),
-        ("blocks_per_class", "blocks_per_class"),
-        ("block_count", "block_count"), ("channels", "channels"),
-        ("sample_rate", "sample_rate"), ("stimulus_ms", "stimulus_ms"),
-        ("blank_ms", "blank_ms"),
-    ]:
-        if getattr(args, attr) is not None:
-            overrides[key] = getattr(args, attr)
-    if args.design is not None:
-        overrides["design"] = args.design.replace("-", "_")
-    if args.out is not None:
-        overrides["out"] = str(args.out)
-    drift = {}
-    for key, attr in [
-        ("dc_sigma", "dc_sigma"), ("walk_sigma", "walk_sigma"),
-        ("noise_sigma", "noise_sigma"),
-    ]:
-        if getattr(args, attr) is not None:
-            drift[key] = getattr(args, attr)
-    if drift:
-        overrides["drift"] = drift
-    evoked = {}
-    if args.evoked_amplitude is not None:
-        evoked.update({"amplitude": args.evoked_amplitude, "enabled": True})
-    if args.evoked_template_ms is not None:
-        evoked["template_ms"] = args.evoked_template_ms
-    if args.evoked_center_hz is not None:
-        evoked["center_hz"] = args.evoked_center_hz
-    if evoked:
-        overrides["evoked"] = evoked
-    if args.subjects is not None:
-        overrides["subjects"] = args.subjects.split(",")
-    cfg = config_mod.load_config("synth", args.config, overrides)
+    for dest, value in flags.items():
+        *parents, key = dest.split(".")
+        node = overrides
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = value
+    return config_mod.load_config(command, path, overrides)
+
+
+def _cmd_synth(flags: dict) -> int:
+    if "evoked.amplitude" in flags:
+        flags["evoked.enabled"] = True
+    cfg = _load_config("synth", flags)
 
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    drift_params = config_mod.build_drift(cfg["drift"])
-    evoked_params = config_mod.build_evoked(cfg["evoked"])
+    drift_params = synthgen.DriftParams(**cfg["drift"])
+    evoked_params = synthgen.EvokedParams(**cfg["evoked"])
     paths = []
     for i, subject in enumerate(cfg["subjects"]):
         seed = cfg["seed"] + i
@@ -168,34 +170,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_preprocess(args) -> int:
-    overrides: dict = {}
-    if args.input is not None:
-        overrides["input"] = str(args.input)
-    if args.out is not None:
-        overrides["out"] = str(args.out)
-    if args.downsample is not None:
-        overrides["downsample_factor"] = args.downsample
-    if args.rereference is not None:
-        overrides["rereference"] = [int(c) for c in args.rereference.split(",")]
-    if args.mode is not None:
-        overrides["mode"] = args.mode
+def _cmd_preprocess(flags: dict) -> int:
+    order = flags.pop("order")
     filters = []
-    if args.notch is not None:
-        filters.append({"kind": "notch", "order": args.order,
-                        "low_hz": args.notch[0], "high_hz": args.notch[1]})
-    if args.bandpass is not None:
-        filters.append({"kind": "bandpass", "order": args.order,
-                        "low_hz": args.bandpass[0], "high_hz": args.bandpass[1]})
-    if args.highpass is not None:
-        filters.append({"kind": "highpass", "order": args.order,
-                        "low_hz": args.highpass})
-    if args.lowpass is not None:
-        filters.append({"kind": "lowpass", "order": args.order,
-                        "high_hz": args.lowpass})
+    for kind in ("notch", "bandpass"):
+        if kind in flags:
+            low, high = flags.pop(kind)
+            filters.append({"kind": kind, "order": order,
+                            "low_hz": low, "high_hz": high})
+    if "highpass" in flags:
+        filters.append({"kind": "highpass", "order": order,
+                        "low_hz": flags.pop("highpass")})
+    if "lowpass" in flags:
+        filters.append({"kind": "lowpass", "order": order,
+                        "high_hz": flags.pop("lowpass")})
     if filters:
-        overrides["filters"] = filters
-    cfg = config_mod.load_config("preprocess", args.config, overrides)
+        flags["filters"] = filters
+    cfg = _load_config("preprocess", flags)
 
     session = load_session(cfg["input"])
     if cfg["downsample_factor"]:
@@ -212,21 +203,8 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _cmd_audit(args) -> int:
-    overrides: dict = {}
-    if args.input:
-        overrides["inputs"] = [str(p) for p in args.input]
-    if args.out is not None:
-        overrides["out"] = str(args.out)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.relabel is not None:
-        overrides["relabel"] = args.relabel
-    if args.highpass_cutoffs is not None:
-        overrides["highpass_cutoffs_hz"] = [
-            float(c) for c in args.highpass_cutoffs.split(",") if c
-        ]
-    cfg = config_mod.load_config("audit", args.config, overrides)
+def _cmd_audit(flags: dict) -> int:
+    cfg = _load_config("audit", flags)
 
     sessions = [load_session(p) for p in cfg["inputs"]]
     rate = sessions[0].sample_rate
@@ -272,15 +250,8 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _cmd_codebook(args) -> int:
-    overrides: dict = {}
-    if args.out is not None:
-        overrides["out"] = str(args.out)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.seeds is not None:
-        overrides["seeds"] = args.seeds
-    cfg = config_mod.load_config("codebook", args.config, overrides)
+def _cmd_codebook(flags: dict) -> int:
+    cfg = _load_config("codebook", flags)
 
     cb_cfg, src_cfg, tr_cfg = cfg["codebook"], cfg["source_features"], cfg["transfer"]
     runs = []
@@ -350,19 +321,8 @@ def _cmd_codebook(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    overrides: dict = {}
-    if args.input is not None:
-        overrides["input"] = str(args.input)
-    if args.out is not None:
-        overrides["out"] = str(args.out)
-    if args.segment_samples is not None:
-        overrides["segment_samples"] = args.segment_samples
-    if args.overlap is not None:
-        overrides["overlap_fraction"] = args.overlap
-    if args.vlf_cutoff is not None:
-        overrides["vlf_cutoff_hz"] = args.vlf_cutoff
-    cfg = config_mod.load_config("spectrum", args.config, overrides)
+def _cmd_spectrum(flags: dict) -> int:
+    cfg = _load_config("spectrum", flags)
 
     session = load_session(cfg["input"])
     seg = min(cfg["segment_samples"], session.num_samples)
@@ -386,10 +346,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    command = flags.pop("command")
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[command](flags)
     except config_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,6 @@ class Codebook:
     class_codewords: np.ndarray
     instance_codewords: np.ndarray
     noise_variance: float
-    element_range: tuple[float, float] = (0.0, 2.0)
 
     def __post_init__(self):
         base = np.asarray(self.class_codewords, dtype=np.float64)
@@ -41,9 +40,8 @@ class Codebook:
             raise ValueError("codeword arrays have wrong rank")
         if inst.shape[1] != base.shape[0] or inst.shape[3] != base.shape[1]:
             raise ValueError("instance codewords do not match class codewords")
-        lo, hi = self.element_range
-        if base.min() < lo or base.max() > hi:
-            raise ValueError("class codewords outside the element range")
+        if base.min() < 0 or base.max() > 2:
+            raise ValueError("class codewords outside [0, 2]")
         if inst.min() < 0:
             raise ValueError("instance codewords must be clipped nonnegative")
         base.setflags(write=False)

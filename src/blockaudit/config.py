@@ -12,7 +12,7 @@ from pathlib import Path
 
 import jsonschema
 
-from . import audit, classifiers, dsp, splits, synthgen
+from . import audit, classifiers, dsp, splits
 
 SCHEMA_VERSION = 1
 
@@ -479,19 +479,3 @@ def build_grid_spec(grid: dict, sample_rate: float, seed: int) -> audit.GridSpec
     except ValueError as exc:
         raise ConfigError(f"invalid audit config at grid: {exc}") from exc
 
-
-def build_drift(d: dict) -> synthgen.DriftParams:
-    return synthgen.DriftParams(
-        dc_sigma=float(d["dc_sigma"]),
-        walk_sigma=float(d["walk_sigma"]),
-        noise_sigma=float(d["noise_sigma"]),
-    )
-
-
-def build_evoked(d: dict) -> synthgen.EvokedParams:
-    return synthgen.EvokedParams(
-        amplitude=float(d["amplitude"]),
-        template_ms=float(d["template_ms"]),
-        center_hz=float(d["center_hz"]),
-        enabled=bool(d["enabled"]),
-    )

@@ -26,6 +26,7 @@ from blockaudit.audit import (
 )
 from blockaudit import splits as sp
 from blockaudit import dsp, features
+from blockaudit.report import grid_csv_text
 
 
 TRAIN = ba.TrainConfig(seed=0, epochs=50, batch_size=64, learning_rate=3e-5)
@@ -119,6 +120,18 @@ class TestRunGrid:
                 assert not cell.ok and "m=17 out of range 1..16" in cell.error
             else:
                 assert cell.ok
+
+    def test_all_channel_alias_evaluated_once(self, drift_session):
+        # 0 and 16 both mean all 16 channels; 16 keeps its own seed index
+        result = run_grid(drift_session, small_spec(256.0, channels=(0, 16)))
+        assert result.channel_counts == (16,)
+        assert sorted({k[3] for k in result.cells}) == [16]
+        # one row per (filter, split, window), after the header
+        assert len(grid_csv_text(result).splitlines()) == 1 + 2
+        same_index = run_grid(drift_session, small_spec(256.0, channels=(4, 16)))
+        for key, cell in result.cells.items():
+            assert cell.accuracy == same_index.cells[key].accuracy
+            assert cell.p_value == same_index.cells[key].p_value
 
     def test_cnn_too_short_window_recorded(self, drift_session):
         spec = small_spec(256.0, classifiers=("cnn1d",), windows=(200.0,),

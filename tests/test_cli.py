@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +284,114 @@ class TestConfigValidation:
         cfg = load_config("synth", None, {"out": "/tmp/x", "classes": 6})
         assert cfg["classes"] == 6
         assert cfg["trials_per_class"] == 50  # default preserved
+
+
+# One argv per row and the (command, config path, overrides) it hands to
+# load_config; across a command's rows every flag of its --help appears.
+FLAG_CASES = [
+    (
+        ["synth", "--config", "c.json", "--out", "rep/", "--seed", "3",
+         "--design", "rapid-event", "--classes", "4", "--trials-per-class", "6",
+         "--blocks-per-class", "2", "--block-count", "5", "--channels", "8",
+         "--sample-rate", "256", "--stimulus-ms", "400", "--blank-ms", "100",
+         "--dc-sigma", "4", "--walk-sigma", "0.1", "--noise-sigma", "2",
+         "--evoked-amplitude", "0.5", "--evoked-template-ms", "120",
+         "--evoked-center-hz", "25", "--subjects", "a,b"],
+        ("synth", Path("c.json"), {
+            "out": "rep", "seed": 3, "design": "rapid_event", "classes": 4,
+            "trials_per_class": 6, "blocks_per_class": 2, "block_count": 5,
+            "channels": 8, "sample_rate": 256.0, "stimulus_ms": 400.0,
+            "blank_ms": 100.0,
+            "drift": {"dc_sigma": 4.0, "walk_sigma": 0.1, "noise_sigma": 2.0},
+            "evoked": {"amplitude": 0.5, "enabled": True, "template_ms": 120.0,
+                       "center_hz": 25.0},
+            "subjects": ["a", "b"],
+        }),
+    ),
+    (
+        ["preprocess", "--config", "c.json", "--input", "in.baud",
+         "--out", "pre/x.baud", "--downsample", "2", "--rereference", "0,1",
+         "--notch", "49,51", "--bandpass", "1,40", "--highpass", "0.5",
+         "--lowpass", "100", "--order", "3", "--mode", "causal"],
+        ("preprocess", Path("c.json"), {
+            "input": "in.baud", "out": "pre/x.baud", "downsample_factor": 2,
+            "rereference": [0, 1], "mode": "causal",
+            "filters": [
+                {"kind": "notch", "order": 3, "low_hz": 49.0, "high_hz": 51.0},
+                {"kind": "bandpass", "order": 3, "low_hz": 1.0, "high_hz": 40.0},
+                {"kind": "highpass", "order": 3, "low_hz": 0.5},
+                {"kind": "lowpass", "order": 3, "high_hz": 100.0},
+            ],
+        }),
+    ),
+    (
+        ["preprocess", "--highpass", "1"],
+        ("preprocess", None,
+         {"filters": [{"kind": "highpass", "order": 2, "low_hz": 1.0}]}),
+    ),
+    (
+        ["audit", "--config", "c.json", "--input", "a.baud",
+         "--input", "./b.baud", "--out", "rep/", "--seed", "11",
+         "--no-relabel", "--highpass-cutoffs", "14,,5"],
+        ("audit", Path("c.json"), {
+            "inputs": ["a.baud", "b.baud"], "out": "rep", "seed": 11,
+            "relabel": False, "highpass_cutoffs_hz": [14.0, 5.0],
+        }),
+    ),
+    (["audit", "--relabel"], ("audit", None, {"relabel": True})),
+    (["audit"], ("audit", None, {})),
+    (
+        ["codebook", "--config", "c.json", "--out", "cb/", "--seed", "3",
+         "--seeds", "2"],
+        ("codebook", Path("c.json"), {"out": "cb", "seed": 3, "seeds": 2}),
+    ),
+    (
+        ["spectrum", "--config", "c.json", "--input", "s.baud",
+         "--out", "spec.csv", "--segment-samples", "512", "--overlap", "0.25",
+         "--vlf-cutoff", "4"],
+        ("spectrum", Path("c.json"), {
+            "input": "s.baud", "out": "spec.csv", "segment_samples": 512,
+            "overlap_fraction": 0.25, "vlf_cutoff_hz": 4.0,
+        }),
+    ),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, expected", FLAG_CASES,
+                             ids=[" ".join(a[:2]) for a, _ in FLAG_CASES])
+    def test_flags_become_config_overrides(self, argv, expected, monkeypatch):
+        calls = []
+
+        def record(command, path, overrides):
+            calls.append((command, path, overrides))
+            raise ConfigError("recorded")
+
+        monkeypatch.setattr("blockaudit.config.load_config", record)
+        assert main(argv) == 2
+        [(command, path, overrides)] = calls
+        # the JSON text also pins int against float
+        assert (command, path, json.dumps(overrides, sort_keys=True)) == (
+            expected[0], expected[1], json.dumps(expected[2], sort_keys=True)
+        )
+
+    @pytest.mark.parametrize(
+        "command", ["synth", "preprocess", "audit", "codebook", "spectrum"]
+    )
+    def test_flag_cases_cover_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        used = {a for argv, _ in FLAG_CASES if argv[0] == command
+                for a in argv if a.startswith("--")}
+        assert listed - {"--help"} == used
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--highpass-cutoffs", "14,x"],
+        ["preprocess", "--rereference", "a"],
+    ])
+    def test_malformed_list_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
