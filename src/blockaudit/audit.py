@@ -4,7 +4,10 @@
 count, classifier) cell of a :class:`GridSpec` on a session, with all
 fitting steps (z-score statistics, Fisher ranking, model training) restricted
 to training indices and checked against the test set by an instrumentation
-assertion.  ``relabel_analysis`` and ``highpass_ablation`` are the two
+assertion.  Every cell goes through one preprocessing order: filter the whole
+session zero-phase, cut trials at the longest grid window, crop to the
+cell's window, z-score, rank channels by the Fisher score of their window
+means, fit.  ``relabel_analysis`` and ``highpass_ablation`` are the two
 follow-up probes; ``issue_verdict`` turns the named results into one of
 CONTAMINATED / CLEAN_SIGNAL / NO_SIGNAL / INCONCLUSIVE.
 
@@ -60,29 +63,21 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """A preprocessing arm: filters to apply plus the z-score scope.
-
-    The canonical stage order is filter -> segment -> z-score
-    (``zscore_stage="after_filter"``).  ``zscore_stage="before_filter"``
-    reproduces the unconventional segment -> z-score -> filter order for
-    comparison runs: filtering then happens per trial window inside each
-    cell.
-    """
+    """A preprocessing arm: filters applied zero-phase to the whole session
+    before it is cut into trials, plus the z-score scope."""
 
     name: str
     filters: tuple[dsp.FilterSpec, ...] = ()
     zscore_scope: str = "train_statistics"
-    mode: str = "zero_phase"
-    zscore_stage: str = "after_filter"
-
-    def __post_init__(self):
-        if self.zscore_stage not in ("after_filter", "before_filter"):
-            raise ValueError(f"unknown zscore_stage {self.zscore_stage!r}")
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axes and settings of one audit grid."""
+    """Axes and settings of one audit grid.
+
+    Trials are cut at ``max(windows_ms)``; a shorter window is a random
+    per-trial crop of that cut.
+    """
 
     classifiers: tuple[str, ...] = ("knn", "svm")
     windows_ms: tuple[float, ...] = (440.0,)
@@ -94,8 +89,6 @@ class GridSpec:
     filter_configs: tuple[FilterConfig, ...] = (FilterConfig(name="raw"),)
     seed: int = 0
     start_offset_ms: float = 40.0
-    base_window_ms: float | None = None  # defaults to max(windows_ms)
-    fisher_feature: str = "window_mean"
     knn_k: int = 7
     svm_l2: float = 1e-3
     mlp_hidden: int = 128
@@ -125,10 +118,16 @@ class GridSpec:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"grid axis {axis} repeats {value!r}")
-
-    @property
-    def segmentation_window_ms(self) -> float:
-        return self.base_window_ms or max(self.windows_ms)
+        for w in self.windows_ms:
+            if not 0 < w < float("inf"):
+                raise ValueError(
+                    f"grid axis windows_ms has {w!r}, want a finite value > 0"
+                )
+        for c in self.channel_counts:
+            if c < 0:
+                raise ValueError(
+                    f"grid axis channel_counts has {c!r}, want >= 0 (0: all)"
+                )
 
 
 @dataclass(frozen=True)
@@ -242,11 +241,9 @@ def _filter_and_segment(
     session: Session, fc: FilterConfig, spec: GridSpec
 ) -> TrialMatrix:
     # the filtered session is freed on return, before the grid runs
-    if fc.zscore_stage == "after_filter":
-        for fspec in fc.filters:
-            session = dsp.apply_filter(dsp.design_filter(fspec), session, mode=fc.mode)
-    # before_filter: trials are filtered after normalization, per cell
-    return segment(session, spec.start_offset_ms, spec.segmentation_window_ms)
+    for fspec in fc.filters:
+        session = dsp.apply_filter(dsp.design_filter(fspec), session)
+    return segment(session, spec.start_offset_ms, max(spec.windows_ms))
 
 
 def _build_plans(
@@ -382,14 +379,9 @@ def _evaluate_group(
                 fit_touched.update(int(i) for i in matrix.trial_indices[plan.train])
             else:
                 matrix = dsp.zscore(cropped, fc.zscore_scope)
-            if fc.zscore_stage == "before_filter":
-                for fspec in fc.filters:
-                    matrix = dsp.apply_filter(
-                        dsp.design_filter(fspec), matrix, mode=fc.mode
-                    )
             train_matrix = matrix.take(plan.train)
             fit_touched.update(int(i) for i in train_matrix.trial_indices)
-            ranking = features.fisher_scores(train_matrix, spec.fisher_feature)
+            ranking = features.fisher_scores(train_matrix)
             _check_no_leakage(fit_touched, matrix.trial_indices[plan.test])
         except LeakageError:
             raise
@@ -447,8 +439,6 @@ def run_grid(
     (the relabeling probe).  Cell failures are recorded in the cell, never
     raised; a leakage violation is always raised.
     """
-    if max(spec.windows_ms) > spec.segmentation_window_ms:
-        raise ValueError("windows_ms exceed the segmentation window")
     if label_mode not in ("stimulus", "block"):
         raise ValueError(f"unknown label_mode {label_mode!r}")
     sessions = [data] if isinstance(data, Session) else list(data)
@@ -464,7 +454,7 @@ def run_grid(
     # 0 means all channels; a count that repeats once resolved is evaluated
     # once, under the training-seed index of its last occurrence
     channel_index = {
-        ch if ch > 0 else ref.channels: ci
+        ch or ref.channels: ci
         for ci, ch in enumerate(spec.channel_counts)
     }
     plans = [

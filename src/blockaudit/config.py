@@ -48,9 +48,15 @@ _GRID_SCHEMA = {
             "items": {"enum": ["knn", "svm", "mlp", "cnn1d"]},
             "minItems": 1,
         },
-        "windows_ms": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "windows_ms": {
+            "type": "array",
+            "items": {"type": "number", "exclusiveMinimum": 0},
+            "minItems": 1,
+        },
         "channel_counts": {
-            "type": "array", "items": {"type": "integer"}, "minItems": 1,
+            "type": "array",
+            "items": {"type": "integer", "minimum": 0},
+            "minItems": 1,
         },
         "splits": {
             "type": "array",
@@ -86,8 +92,6 @@ _GRID_SCHEMA = {
                     "zscore_scope": {
                         "enum": ["train_statistics", "per_trial_channel"]
                     },
-                    "mode": {"enum": ["zero_phase", "causal"]},
-                    "zscore_stage": {"enum": ["after_filter", "before_filter"]},
                 },
                 "required": ["name"],
                 "additionalProperties": False,
@@ -95,8 +99,6 @@ _GRID_SCHEMA = {
             "minItems": 1,
         },
         "start_offset_ms": {"type": "number", "minimum": 0},
-        "base_window_ms": {"type": ["number", "null"]},
-        "fisher_feature": {"enum": ["window_mean", "per_sample"]},
         "knn_k": {"type": "integer", "minimum": 1},
         "svm_l2": {"type": "number", "minimum": 0},
         "mlp_hidden": {"type": "integer", "minimum": 1},
@@ -324,12 +326,9 @@ DEFAULTS: dict[str, dict] = {
                         {"kind": "notch", "low_hz": 49.0, "high_hz": 51.0, "order": 2}
                     ],
                     "zscore_scope": "train_statistics",
-                    "mode": "zero_phase",
                 }
             ],
             "start_offset_ms": 40.0,
-            "base_window_ms": None,
-            "fisher_feature": "window_mean",
             "knn_k": 7,
             "svm_l2": 1e-3,
             "mlp_hidden": 128,
@@ -429,7 +428,8 @@ def build_filter_spec(d: dict, sample_rate: float) -> dsp.FilterSpec:
 
 def build_grid_spec(grid: dict, sample_rate: float, seed: int) -> audit.GridSpec:
     """The audit grid of a validated config; an invalid grid, such as a
-    repeated axis entry or a filter edge above Nyquist, raises ConfigError."""
+    repeated axis entry, a negative channel count, a window that is not
+    positive or a filter edge above Nyquist, raises ConfigError."""
     train = grid["train"]
     try:
         return audit.GridSpec(
@@ -451,15 +451,11 @@ def build_grid_spec(grid: dict, sample_rate: float, seed: int) -> audit.GridSpec
                         for f in fc.get("filters", [])
                     ),
                     zscore_scope=fc.get("zscore_scope", "train_statistics"),
-                    mode=fc.get("mode", "zero_phase"),
-                    zscore_stage=fc.get("zscore_stage", "after_filter"),
                 )
                 for fc in grid["filter_configs"]
             ),
             seed=seed,
             start_offset_ms=float(grid["start_offset_ms"]),
-            base_window_ms=grid.get("base_window_ms"),
-            fisher_feature=grid["fisher_feature"],
             knn_k=int(grid["knn_k"]),
             svm_l2=float(grid["svm_l2"]),
             mlp_hidden=int(grid["mlp_hidden"]),

@@ -284,15 +284,16 @@ def _filter_array(
 
 def apply_filter(
     cascade: BiquadCascade,
-    data: Session | TrialMatrix | np.ndarray,
+    data: Session | np.ndarray,
     mode: str = "zero_phase",
 ):
     """Filter per channel along time.
 
     ``mode="causal"`` is a single forward pass; ``mode="zero_phase"`` runs
     forward then time-reversed (zero group delay, squared magnitude).
-    Accepts a Session, a TrialMatrix, or a bare (..., T) array and returns
-    the same shape/type.
+    Accepts a Session or a bare (..., T) array and returns the same
+    shape/type.  The audit grid filters whole sessions zero-phase, before
+    they are cut into trials, so no trial edge adds a filter transient.
     """
     sos = cascade.to_sos()
     if isinstance(data, Session):
@@ -306,8 +307,6 @@ def apply_filter(
             subject_id=data.subject_id,
             events=data.events,
         )
-    if isinstance(data, TrialMatrix):
-        return data.replace(trials=_filter_array(sos, data.trials, mode))
     return _filter_array(sos, np.asarray(data), mode)
 
 

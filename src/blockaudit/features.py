@@ -77,7 +77,8 @@ def crop_windows(trials: TrialMatrix, policy: WindowPolicy) -> TrialMatrix:
     """Reduce every trial to the policy's window.
 
     Random offsets are drawn i.i.d. uniform over the admissible range from
-    the policy seed, so a fixed seed reproduces the exact same crops.
+    the policy seed, so a fixed seed reproduces the exact same crops.  A
+    fixed crop that spans the whole trial returns ``trials`` itself.
     """
     rate = trials.sample_rate
     width = int(round(policy.window_ms * rate / 1000.0))
@@ -87,79 +88,52 @@ def crop_windows(trials: TrialMatrix, policy: WindowPolicy) -> TrialMatrix:
         raise ValueError(
             f"window {width} samples exceeds trial length {trials.window_samples}"
         )
-    n = trials.num_trials
     max_start = trials.window_samples - width
     if policy.mode == "fixed":
         start = int(round(policy.offset_ms * rate / 1000.0))
         if start > max_start:
             raise ValueError("fixed offset pushes the window past the trial end")
-        starts = np.full(n, start, dtype=np.int64)
+        if width == trials.window_samples:
+            return trials
+        cropped = trials.trials[:, :, start : start + width]
     else:
         rng = np.random.default_rng(policy.seed)
-        starts = rng.integers(0, max_start + 1, size=n, dtype=np.int64)
-    cols = starts[:, None] + np.arange(width)[None, :]
-    cropped = trials.trials[
-        np.arange(n)[:, None, None],
-        np.arange(trials.channels)[None, :, None],
-        cols[:, None, :],
-    ]
+        starts = rng.integers(
+            0, max_start + 1, size=trials.num_trials, dtype=np.int64
+        )
+        # (N, ch, max_start + 1, width) view; one gather picks each trial's start
+        windows = np.lib.stride_tricks.sliding_window_view(
+            trials.trials, width, axis=2
+        )
+        cropped = windows[np.arange(trials.num_trials), :, starts]
     return trials.replace(trials=cropped, window_samples=width)
 
 
-def _fisher_from_features(x: np.ndarray, labels: np.ndarray):
-    """Fisher score per column of a trials x features matrix.
+def fisher_scores(trials: TrialMatrix) -> ChannelRanking:
+    """Rank channels by the Fisher score of their mean over the window.
 
-    score = sum_c n_c (mu_c - mu)^2 / sum_c n_c var_c with population
-    variances.  Returns (scores, degenerate_mask); degenerate columns (zero
-    denominator) get score 0.
-    """
-    classes = np.unique(labels)
-    mu = x.mean(axis=0)
-    num = np.zeros(x.shape[1])
-    den = np.zeros(x.shape[1])
-    for c in classes:
-        xc = x[labels == c]
-        nc = xc.shape[0]
-        num += nc * (xc.mean(axis=0) - mu) ** 2
-        den += nc * xc.var(axis=0)  # population
-    degenerate = den == 0.0
-    scores = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
-    return scores, degenerate
-
-
-def fisher_scores(
-    trials: TrialMatrix, feature: str = "window_mean"
-) -> ChannelRanking:
-    """Rank channels by Fisher score of a per-channel scalar feature.
-
-    ``feature="window_mean"`` scores each channel's mean amplitude over the
-    analysis window (the default; with drifting data this is the feature the
-    contamination lives in).  ``feature="per_sample"`` scores every
-    channel-time point and averages the scores over time per channel.
-
-    Degenerate channels (zero within-class variance everywhere) are given
-    score 0 and ranked after all others; remaining ties break toward the
-    lower channel index.  Call this on training trials only.
+    With drifting data the window mean is the feature the contamination
+    lives in.  score = sum_c n_c (mu_c - mu)^2 / sum_c n_c var_c with
+    population variances.  Degenerate channels (zero within-class variance)
+    are given score 0 and ranked after all others; remaining ties break
+    toward the lower channel index.  Call this on training trials only.
     """
     if trials.num_trials == 0:
         raise ValueError("empty trial matrix")
     labels = trials.labels
     if np.unique(labels).size < 2:
         raise ValueError("Fisher ranking needs at least 2 classes")
-    x = trials.trials.astype(np.float64, copy=False)
-    if feature == "window_mean":
-        scores, degenerate = _fisher_from_features(x.mean(axis=2), labels)
-    elif feature == "per_sample":
-        n, ch, w = x.shape
-        per_point, deg_points = _fisher_from_features(
-            x.reshape(n, ch * w), labels
-        )
-        per_point = per_point.reshape(ch, w)
-        deg_points = deg_points.reshape(ch, w)
-        scores = per_point.mean(axis=1)
-        degenerate = deg_points.all(axis=1)
-    else:
-        raise ValueError(f"unknown fisher feature {feature!r}")
+    x = trials.trials.astype(np.float64, copy=False).mean(axis=2)
+    mu = x.mean(axis=0)
+    num = np.zeros(x.shape[1])
+    den = np.zeros(x.shape[1])
+    for c in np.unique(labels):
+        xc = x[labels == c]
+        nc = xc.shape[0]
+        num += nc * (xc.mean(axis=0) - mu) ** 2
+        den += nc * xc.var(axis=0)  # population
+    degenerate = den == 0.0
+    scores = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
     if degenerate.any():
         warnings.warn(
             f"{int(degenerate.sum())} degenerate channel(s) ranked last",

@@ -26,6 +26,7 @@ from blockaudit.audit import (
 )
 from blockaudit import splits as sp
 from blockaudit import dsp, features
+from blockaudit.config import ConfigError, build_grid_spec, load_config
 from blockaudit.report import grid_csv_text
 
 
@@ -49,28 +50,54 @@ def small_spec(rate, classifiers=("knn", "svm"), splits=None, windows=(440.0,),
     )
 
 
+@pytest.fixture(scope="module")
+def noise_session():
+    # no drift and no evoked signal: kNN sits near chance, so its test
+    # predictions hinge on every preprocessed sample
+    schedule = ba.make_block_schedule(6, 20, 500.0, 1000.0, seed=5,
+                                      blocks_per_class=4)
+    return ba.generate_session(
+        schedule, channels=16, sample_rate=256.0,
+        drift=ba.DriftParams(0.0, 0.0, 1.0), evoked=ba.EvokedParams(),
+        subject_id="s01", seed=5,
+    )
+
+
 class TestRunGrid:
-    def test_degenerate_grid_equals_direct_run(self, drift_session):
-        spec = small_spec(256.0, classifiers=("knn",),
-                          splits=(SplitSpec(sp.WITHIN_BLOCK, (0.8, 0.1, 0.1)),))
-        result = run_grid(drift_session, spec)
+    @pytest.mark.parametrize("filters", [
+        (), (FilterSpec.notch(49.0, 51.0, 256.0, 2),),
+    ], ids=["raw", "notch"])
+    def test_degenerate_grid_equals_direct_run(self, noise_session, filters):
+        spec = replace(
+            small_spec(256.0, classifiers=("knn",), channels=(4,),
+                       splits=(SplitSpec(sp.WITHIN_BLOCK, (0.8, 0.1, 0.1)),)),
+            filter_configs=(FilterConfig(name="arm", filters=filters),),
+        )
+        result = run_grid(noise_session, spec)
         assert len(result.cells) == 1
         cell = next(iter(result.cells.values()))
 
-        # direct single run with the same derived seeds
+        # direct single run with the same derived seeds, in the grid's one
+        # order: filter the session, segment, z-score, rank, fit
         from blockaudit.audit import _derive_seed, _SEED_SPLIT
 
-        matrix = ba.segment(drift_session, 40.0, 440.0)
+        session = noise_session
+        for fspec in filters:
+            session = dsp.apply_filter(dsp.design_filter(fspec), session)
+        matrix = ba.segment(session, 40.0, 440.0)
         plan = sp.split_within_block(
             matrix, (0.8, 0.1, 0.1), _derive_seed(spec.seed, _SEED_SPLIT, 0)
         )
         z = dsp.zscore(matrix, "train_statistics", train_indices=plan.train)
         ranking = features.fisher_scores(z.take(plan.train))
-        z = features.select_channels(z, ranking, z.channels)
+        z = features.select_channels(z, ranking, 4)
         x = z.trials.reshape(z.num_trials, -1)
         model = ba.KnnModel(x[plan.train], z.labels[plan.train], k=7)
-        acc, _ = ba.evaluate_accuracy(model, x[plan.test], z.labels[plan.test])
+        acc, confusion = ba.evaluate_accuracy(
+            model, x[plan.test], z.labels[plan.test], matrix.num_classes
+        )
         assert cell.accuracy == pytest.approx(acc)
+        np.testing.assert_array_equal(cell.confusion, confusion)
 
     def test_contamination_detected(self, drift_session):
         result = run_grid(drift_session, small_spec(256.0))
@@ -167,13 +194,43 @@ class TestGridSpec:
         ("splits", (SplitSpec(sp.WITHIN_BLOCK),
                     SplitSpec(sp.WITHIN_BLOCK, (0.6, 0.2, 0.2))), "'within_block'"),
         ("filter_configs", (FilterConfig(name="raw"),
-                            FilterConfig(name="raw", mode="causal")), "'raw'"),
+                            FilterConfig(name="raw",
+                                         zscore_scope="per_trial_channel")),
+         "'raw'"),
     ], ids=["classifiers", "windows_ms", "channel_counts", "splits",
             "filter_configs"])
     def test_repeated_axis_entry_rejected(self, axis, values, shown):
         # a repeat would silently overwrite cells keyed by the same value
         with pytest.raises(ValueError, match=f"grid axis {axis} repeats {shown}"):
             replace(small_spec(256.0), **{axis: values})
+
+    @pytest.mark.parametrize("axis, values, shown", [
+        ("channel_counts", (0, -3), "-3"),
+        ("windows_ms", (440.0, 0.0), "0.0"),
+        ("windows_ms", (-5.0,), "-5.0"),
+        ("windows_ms", (float("nan"),), "nan"),
+        ("windows_ms", (float("inf"),), "inf"),
+    ], ids=["negative_channels", "zero_window", "negative_window",
+            "nan_window", "inf_window"])
+    def test_bad_axis_value_rejected(self, axis, values, shown):
+        # -3 used to mean all channels; a bad window failed mid-run
+        with pytest.raises(ValueError, match=f"grid axis {axis} has {shown}"):
+            replace(small_spec(256.0), **{axis: values})
+
+    @pytest.mark.parametrize("axis, value, where", [
+        ("channel_counts", -3, "grid/channel_counts/0"),
+        ("windows_ms", 0.0, "grid/windows_ms/0"),
+        ("windows_ms", -5.0, "grid/windows_ms/0"),
+    ], ids=["negative_channels", "zero_window", "negative_window"])
+    def test_bad_axis_value_is_config_error(self, axis, value, where):
+        grid = {axis: [value]}
+        with pytest.raises(ConfigError, match=where):
+            load_config("audit", None, {"inputs": ["x"], "out": "y",
+                                        "grid": grid})
+        # the builder rejects it too, for a grid that skipped the schema
+        valid = load_config("audit", None, {"inputs": ["x"], "out": "y"})
+        with pytest.raises(ConfigError, match=f"grid axis {axis} has"):
+            build_grid_spec(dict(valid["grid"], **grid), 256.0, seed=0)
 
 
 class TestLeakageGuard:
@@ -288,9 +345,10 @@ class TestHighpassAblation:
             assert p_better >= 0.01
 
     def test_ablated_arms_keep_their_settings(self, drift_session, monkeypatch):
-        arms = (FilterConfig(name="pre", zscore_stage="before_filter",
-                             mode="causal"),
-                FilterConfig(name="post"))
+        arms = (FilterConfig(name="notch",
+                             filters=(FilterSpec.notch(49.0, 51.0, 256.0, 2),),
+                             zscore_scope="per_trial_channel"),
+                FilterConfig(name="raw"))
         spec = replace(small_spec(256.0), filter_configs=arms)
         seen = []
         monkeypatch.setattr(ba.audit, "run_grid",
@@ -299,7 +357,7 @@ class TestHighpassAblation:
         baseline, ablated = seen
         assert baseline == arms
         for base, arm in zip(arms, ablated):
-            assert arm.zscore_stage == base.zscore_stage
+            assert arm.zscore_scope == base.zscore_scope
             assert arm == replace(base, filters=arm.filters[:1] + base.filters)
 
     def test_cutoff_validation(self, drift_session):

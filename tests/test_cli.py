@@ -162,6 +162,44 @@ class TestAudit:
         assert main(["audit", "--config", str(cfg)]) == 2
         assert "threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, key, old_default", [
+        (("grid",), "fisher_feature", "window_mean"),
+        (("grid",), "base_window_ms", None),
+        (("grid", "filter_configs", 0), "mode", "zero_phase"),
+        (("grid", "filter_configs", 0), "zscore_stage", "after_filter"),
+    ], ids=["fisher_feature", "base_window_ms", "mode", "zscore_stage"])
+    def test_manifest_with_removed_grid_key_rejected(
+        self, report_dir, tmp_path, capsys, path, key, old_default
+    ):
+        # a manifest written before the grid had one preprocessing order
+        manifest = json.loads((report_dir / "manifest.json").read_text())
+        manifest["config"]["out"] = str(tmp_path / "replay")
+        node = manifest["config"]
+        for part in path:
+            node = node[part]
+        node[key] = old_default
+        cfg = tmp_path / "old_manifest.json"
+        cfg.write_text(json.dumps(manifest))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"at {'/'.join(map(str, path))}:" in err
+        assert f"'{key}' was unexpected" in err
+
+    @pytest.mark.parametrize("axis, value", [
+        ("channel_counts", -3), ("windows_ms", 0.0),
+    ], ids=["negative_channels", "zero_window"])
+    def test_bad_grid_axis_value_exit_2(self, session_dir, tmp_path, capsys,
+                                        axis, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "out": str(tmp_path / "r"),
+            "grid": dict(AUDIT_GRID, **{axis: [value]}),
+            "inputs": [str(session_dir / "s01_block.baud")],
+        }))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        assert f"grid/{axis}/0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_repeated_grid_axis_exit_2(self, session_dir, tmp_path, capsys):
         grid = dict(AUDIT_GRID, splits=AUDIT_GRID["splits"][:1] * 2)
         cfg = tmp_path / "repeat.json"

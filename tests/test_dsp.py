@@ -12,7 +12,6 @@ from blockaudit import (
     frequency_response,
     power_spectrum,
     rereference,
-    segment,
     vlf_fraction,
     zscore,
 )
@@ -157,9 +156,6 @@ class TestApply:
         filtered = apply_filter(cascade, tiny_session)
         assert filtered.samples.shape == tiny_session.samples.shape
         assert filtered.events == tiny_session.events
-        tm = segment(tiny_session, 0.0, 100.0)
-        ftm = apply_filter(cascade, tm)
-        assert ftm.trials.shape == tm.trials.shape
 
     def test_empty_input_rejected(self):
         cascade = design_filter(FilterSpec.lowpass(50.0, FS, 2))

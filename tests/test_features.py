@@ -105,17 +105,6 @@ class TestFisher:
         with pytest.raises(ValueError, match="2 classes"):
             fisher_scores(tm)
 
-    def test_per_sample_feature_mode(self):
-        rng = np.random.default_rng(3)
-        trials = rng.standard_normal((30, 4, 6))
-        labels = rng.integers(0, 3, 30)
-        labels[:3] = [0, 1, 2]
-        tm = matrix(trials, labels)
-        ranking = fisher_scores(tm, feature="per_sample")
-        flat = trials.reshape(30, 4 * 6)
-        want = fisher_oracle(flat, labels).reshape(4, 6).mean(axis=1)
-        np.testing.assert_allclose(ranking.scores, want, rtol=1e-10)
-
     def test_ties_break_to_lower_index(self):
         trials = np.zeros((4, 3, 2))
         trials[:, 0, :] = [[0], [1], [2], [3]]
@@ -177,7 +166,15 @@ class TestCropWindows:
         rng = np.random.default_rng(8)
         tm = matrix(rng.standard_normal((5, 2, 40)), rng.integers(0, 2, 5))
         out = crop_windows(tm, WindowPolicy.fixed(40.0, 0.0))
-        np.testing.assert_array_equal(out.trials, tm.trials)
+        assert out is tm
+
+    def test_random_crop_is_per_trial_slice(self):
+        rng = np.random.default_rng(12)
+        tm = matrix(rng.standard_normal((6, 3, 40)), rng.integers(0, 2, 6))
+        out = crop_windows(tm, WindowPolicy.random(15.0, seed=4))
+        starts = np.random.default_rng(4).integers(0, 26, size=6)
+        want = [t[:, s : s + 15] for t, s in zip(tm.trials, starts)]
+        np.testing.assert_array_equal(out.trials, want)
 
     def test_single_sample_window(self):
         rng = np.random.default_rng(9)

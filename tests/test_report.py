@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 import blockaudit as ba
 from blockaudit import splits as sp
@@ -80,30 +79,3 @@ class TestOtherCsv:
         assert lines[0].startswith("cutoff_hz,")
         assert len(lines) == 2
         assert lines[1].startswith("14,raw,within_block,440,16,knn,")
-
-
-class TestZscoreStage:
-    def test_before_filter_pipeline_runs(self, drift_session):
-        # the unconventional segment -> z-score -> filter order, for
-        # comparison runs; still detects the contamination
-        fc = ba.FilterConfig(
-            name="reversed",
-            filters=(ba.FilterSpec.notch(49.0, 51.0, 256.0, 2),),
-            zscore_scope="per_trial_channel",
-            zscore_stage="before_filter",
-        )
-        spec = ba.GridSpec(
-            classifiers=("knn",),
-            windows_ms=(440.0,),
-            channel_counts=(0,),
-            splits=(ba.SplitSpec(sp.WITHIN_BLOCK, (0.8, 0.1, 0.1)),),
-            filter_configs=(fc,),
-            seed=2,
-        )
-        result = ba.run_grid(drift_session, spec)
-        cell = next(iter(result.cells.values()))
-        assert cell.ok
-
-    def test_stage_validation(self):
-        with pytest.raises(ValueError, match="zscore_stage"):
-            ba.FilterConfig(name="x", zscore_stage="sideways")
