@@ -38,7 +38,6 @@ from .dsp import (
 )
 from .features import (
     ChannelRanking,
-    WindowPolicy,
     crop_windows,
     fisher_scores,
     select_channels,

@@ -59,6 +59,7 @@ class SplitSpec:
             splits_mod.LEAVE_ONE_SUBJECT_OUT,
         ):
             raise ValueError(f"unknown split regime {self.regime!r}")
+        splits_mod._check_fractions(self.fractions)
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,8 @@ class FilterConfig:
 class GridSpec:
     """Axes and settings of one audit grid.
 
-    Trials are cut at ``max(windows_ms)``; a shorter window is a random
-    per-trial crop of that cut.
+    Trials are cut at ``max(windows_ms)``; a window shorter in samples is a
+    random per-trial crop of that cut, and any other window is the cut.
     """
 
     classifiers: tuple[str, ...] = ("knn", "svm")
@@ -361,11 +362,7 @@ def _evaluate_group(
     inner = list(train_seeds.keys())
     acc = {key: _CellAccumulator(num_classes) for key in inner}
     try:
-        if window_ms < base.window_samples / base.sample_rate * 1000.0:
-            policy = features.WindowPolicy.random(window_ms, seed=crop_seed)
-        else:
-            policy = features.WindowPolicy.fixed(window_ms, offset_ms=0.0)
-        cropped = features.crop_windows(base, policy)
+        cropped = features.crop_windows(base, window_ms, crop_seed)
     except ValueError as exc:
         return {key: _error_cell(num_classes, exc) for key in inner}
 
@@ -535,6 +532,13 @@ class AblationResult:
         return out
 
 
+def check_cutoffs(cutoffs_hz: Sequence[float], sample_rate: float) -> None:
+    """Raise ValueError unless every highpass cutoff lies in (0, Nyquist)."""
+    for c in cutoffs_hz:
+        if not 0 < c < sample_rate / 2:
+            raise ValueError(f"cutoff {c} Hz outside (0, Nyquist)")
+
+
 def highpass_ablation(
     data: Session | Sequence[Session],
     cutoffs_hz: Sequence[float],
@@ -547,9 +551,7 @@ def highpass_ablation(
     """
     sessions = [data] if isinstance(data, Session) else list(data)
     rate = sessions[0].sample_rate
-    for c in cutoffs_hz:
-        if not 0 < c < rate / 2:
-            raise ValueError(f"cutoff {c} Hz outside (0, Nyquist)")
+    check_cutoffs(cutoffs_hz, rate)
     baseline = run_grid(data, base_spec)
     by_cutoff = {}
     for cutoff in cutoffs_hz:

@@ -209,6 +209,12 @@ def _cmd_audit(flags: dict) -> int:
     sessions = [load_session(p) for p in cfg["inputs"]]
     rate = sessions[0].sample_rate
     spec = config_mod.build_grid_spec(cfg["grid"], rate, cfg["seed"])
+    try:
+        audit_mod.check_cutoffs(cfg["highpass_cutoffs_hz"], rate)
+    except ValueError as exc:
+        raise config_mod.ConfigError(
+            f"invalid audit config at highpass_cutoffs_hz: {exc}"
+        ) from exc
     data = sessions[0] if len(sessions) == 1 else sessions
 
     print(f"running grid: {len(spec.classifiers)} classifiers x "

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -402,9 +403,24 @@ def load_config(command: str, path: str | Path | None, overrides: dict) -> dict:
     return merged
 
 
+def _non_finite_paths(node, path: str = ""):
+    """Yield the key path of every NaN or infinity in a config tree."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path
+    elif isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _non_finite_paths(value, f"{path}/{key}" if path else str(key))
+
+
 def validate_config(command: str, config: dict) -> None:
+    """Check ``config`` against the command's schema; JSON Schema bounds
+    compare false on NaN, so non-finite numbers are rejected first."""
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
+    bad = next(_non_finite_paths(config), None)
+    if bad is not None:
+        raise ConfigError(f"invalid {command} config at {bad}: not a finite number")
     try:
         jsonschema.validate(config, SCHEMAS[command])
     except jsonschema.ValidationError as exc:

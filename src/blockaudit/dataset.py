@@ -282,8 +282,7 @@ class TrialMatrix:
 
     ``trial_indices`` keeps each trial's position in the originating pool so
     that fit/test bookkeeping (the leakage guard) survives cropping, channel
-    selection, and normalization.  ``stimulus_labels`` preserves the original
-    class labels when ``labels`` has been rewritten (block relabeling).
+    selection, and normalization.
     """
 
     trials: np.ndarray
@@ -293,7 +292,6 @@ class TrialMatrix:
     window_samples: int
     sample_rate: float
     trial_indices: np.ndarray = field(default=None)  # type: ignore[assignment]
-    stimulus_labels: np.ndarray | None = None
 
     def __post_init__(self):
         trials = np.asarray(self.trials)
@@ -326,12 +324,6 @@ class TrialMatrix:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.stimulus_labels is not None:
-            stim = np.asarray(self.stimulus_labels, dtype=np.int64)
-            if stim.shape != (n,):
-                raise ValueError("stimulus_labels must have shape (N,)")
-            stim.setflags(write=False)
-            object.__setattr__(self, "stimulus_labels", stim)
 
     @property
     def num_trials(self) -> int:
@@ -359,9 +351,6 @@ class TrialMatrix:
             block_ids=self.block_ids[idx],
             subject_ids=self.subject_ids[idx],
             trial_indices=self.trial_indices[idx],
-            stimulus_labels=None
-            if self.stimulus_labels is None
-            else self.stimulus_labels[idx],
         )
 
 
@@ -437,9 +426,6 @@ def concat_trials(matrices: Sequence[TrialMatrix]) -> TrialMatrix:
         if m.num_trials:
             offset += int(m.block_ids.max()) + 1
     blocks = np.concatenate(block_parts)
-    stim = None
-    if all(m.stimulus_labels is not None for m in matrices):
-        stim = np.concatenate([m.stimulus_labels for m in matrices])
     return TrialMatrix(
         trials=trials,
         labels=labels,
@@ -448,5 +434,4 @@ def concat_trials(matrices: Sequence[TrialMatrix]) -> TrialMatrix:
         window_samples=first.window_samples,
         sample_rate=first.sample_rate,
         trial_indices=np.arange(trials.shape[0], dtype=np.int64),
-        stimulus_labels=stim,
     )

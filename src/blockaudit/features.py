@@ -1,8 +1,8 @@
 """Window cropping and Fisher-score channel ranking.
 
 These are the two ablation axes of the audit grid: shrink the analysis
-window (optionally at a random per-trial offset) and restrict to the
-channels that look most class-discriminative on the training set.
+window (at a random per-trial offset) and restrict to the channels that
+look most class-discriminative on the training set.
 """
 from __future__ import annotations
 
@@ -16,39 +16,6 @@ from .dataset import TrialMatrix
 
 class DegenerateChannelWarning(UserWarning):
     """A channel had zero within-class variance everywhere; ranked last."""
-
-
-@dataclass(frozen=True)
-class WindowPolicy:
-    """How to place a sub-window inside each trial.
-
-    ``mode="fixed"`` starts every trial's window at ``offset_ms``;
-    ``mode="random_uniform"`` draws an i.i.d. uniform offset per trial from
-    the valid range, seeded for reproducibility.
-    """
-
-    window_ms: float
-    mode: str = "fixed"
-    offset_ms: float = 0.0
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.window_ms <= 0:
-            raise ValueError("window_ms must be > 0")
-        if self.mode not in ("fixed", "random_uniform"):
-            raise ValueError(f"unknown offset mode {self.mode!r}")
-        if self.mode == "random_uniform" and self.seed is None:
-            raise ValueError("random_uniform policy needs a seed")
-        if self.mode == "fixed" and self.offset_ms < 0:
-            raise ValueError("offset_ms must be >= 0")
-
-    @classmethod
-    def fixed(cls, window_ms: float, offset_ms: float = 0.0) -> "WindowPolicy":
-        return cls(window_ms=window_ms, mode="fixed", offset_ms=offset_ms)
-
-    @classmethod
-    def random(cls, window_ms: float, seed: int) -> "WindowPolicy":
-        return cls(window_ms=window_ms, mode="random_uniform", seed=seed)
 
 
 @dataclass(frozen=True)
@@ -73,39 +40,29 @@ class ChannelRanking:
         object.__setattr__(self, "order", order)
 
 
-def crop_windows(trials: TrialMatrix, policy: WindowPolicy) -> TrialMatrix:
-    """Reduce every trial to the policy's window.
+def crop_windows(trials: TrialMatrix, window_ms: float, seed: int) -> TrialMatrix:
+    """Reduce every trial to a ``window_ms`` window at a random offset.
 
-    Random offsets are drawn i.i.d. uniform over the admissible range from
-    the policy seed, so a fixed seed reproduces the exact same crops.  A
-    fixed crop that spans the whole trial returns ``trials`` itself.
+    A window as wide in samples as the trials returns ``trials`` itself.
+    Otherwise each trial's start is drawn i.i.d. uniform over the admissible
+    range from ``seed``, so a fixed seed reproduces the exact same crops.
     """
     rate = trials.sample_rate
-    width = int(round(policy.window_ms * rate / 1000.0))
+    width = int(round(window_ms * rate / 1000.0))
     if width < 1:
-        raise ValueError(f"window of {policy.window_ms} ms is empty at {rate} Hz")
+        raise ValueError(f"window of {window_ms} ms is empty at {rate} Hz")
     if width > trials.window_samples:
         raise ValueError(
             f"window {width} samples exceeds trial length {trials.window_samples}"
         )
+    if width == trials.window_samples:
+        return trials
     max_start = trials.window_samples - width
-    if policy.mode == "fixed":
-        start = int(round(policy.offset_ms * rate / 1000.0))
-        if start > max_start:
-            raise ValueError("fixed offset pushes the window past the trial end")
-        if width == trials.window_samples:
-            return trials
-        cropped = trials.trials[:, :, start : start + width]
-    else:
-        rng = np.random.default_rng(policy.seed)
-        starts = rng.integers(
-            0, max_start + 1, size=trials.num_trials, dtype=np.int64
-        )
-        # (N, ch, max_start + 1, width) view; one gather picks each trial's start
-        windows = np.lib.stride_tricks.sliding_window_view(
-            trials.trials, width, axis=2
-        )
-        cropped = windows[np.arange(trials.num_trials), :, starts]
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, max_start + 1, size=trials.num_trials, dtype=np.int64)
+    # (N, ch, max_start + 1, width) view; one gather picks each trial's start
+    windows = np.lib.stride_tricks.sliding_window_view(trials.trials, width, axis=2)
+    cropped = windows[np.arange(trials.num_trials), :, starts]
     return trials.replace(trials=cropped, window_samples=width)
 
 
@@ -123,7 +80,7 @@ def fisher_scores(trials: TrialMatrix) -> ChannelRanking:
     labels = trials.labels
     if np.unique(labels).size < 2:
         raise ValueError("Fisher ranking needs at least 2 classes")
-    x = trials.trials.astype(np.float64, copy=False).mean(axis=2)
+    x = trials.trials.mean(axis=2, dtype=np.float64)
     mu = x.mean(axis=0)
     num = np.zeros(x.shape[1])
     den = np.zeros(x.shape[1])

@@ -71,6 +71,21 @@ def _apportion(n: int, fractions: np.ndarray, rng) -> np.ndarray:
     return counts
 
 
+def _deal(
+    groups: list[np.ndarray], fractions: np.ndarray, seed: int
+) -> list[np.ndarray]:
+    """Deal every group's items into (train, validation, test): apportion the
+    group, shuffle it, and cut it at the apportioned counts."""
+    rng = np.random.default_rng(seed)
+    parts: list[list[np.ndarray]] = [[], [], []]
+    for group in groups:
+        counts = _apportion(group.size, fractions, rng)
+        shuffled = rng.permutation(group)
+        for part, chunk in zip(parts, np.split(shuffled, np.cumsum(counts)[:2])):
+            part.append(chunk)
+    return [np.concatenate(p) for p in parts]
+
+
 def split_within_block(
     trials: TrialMatrix, fractions=(0.8, 0.1, 0.1), seed: int = 0
 ) -> SplitPlan:
@@ -81,20 +96,14 @@ def split_within_block(
     trials.
     """
     f = _check_fractions(fractions)
-    rng = np.random.default_rng(seed)
-    parts: list[list[np.ndarray]] = [[], [], []]
-    for block in np.unique(trials.block_ids):
-        idx = np.flatnonzero(trials.block_ids == block)
-        if idx.size < 3:
-            raise ValueError(
-                f"block {block} has {idx.size} trials; need >= 3 to stratify"
-            )
-        counts = _apportion(idx.size, f, rng)
-        shuffled = rng.permutation(idx)
-        bounds = np.cumsum(counts)[:2]
-        for part, chunk in zip(parts, np.split(shuffled, bounds)):
-            part.append(chunk)
-    train, val, test = (np.concatenate(p) for p in parts)
+    blocks, sizes = np.unique(trials.block_ids, return_counts=True)
+    if np.any(sizes < 3):
+        small = np.argmax(sizes < 3)
+        raise ValueError(
+            f"block {blocks[small]} has {sizes[small]} trials; need >= 3 to stratify"
+        )
+    groups = [np.flatnonzero(trials.block_ids == block) for block in blocks]
+    train, val, test = _deal(groups, f, seed)
     return SplitPlan(
         train=train, validation=val, test=test,
         regime=WITHIN_BLOCK, num_trials=trials.num_trials,
@@ -119,7 +128,6 @@ def split_block_disjoint(
     blocks overall.
     """
     f = _check_fractions(fractions)
-    rng = np.random.default_rng(seed)
     blocks = np.unique(trials.block_ids)
 
     if _is_block_design(trials):
@@ -141,16 +149,9 @@ def split_block_disjoint(
             raise ValueError("block-disjoint split needs >= 3 blocks")
         groups = [blocks]
 
-    parts: list[list[np.ndarray]] = [[], [], []]
-    for g in groups:
-        counts = _apportion(g.size, f, rng)
-        shuffled = rng.permutation(g)
-        bounds = np.cumsum(counts)[:2]
-        for part, chunk in zip(parts, np.split(shuffled, bounds)):
-            if chunk.size:
-                part.append(np.flatnonzero(np.isin(trials.block_ids, chunk)))
     train, val, test = (
-        np.concatenate(p) if p else np.array([], dtype=np.int64) for p in parts
+        np.flatnonzero(np.isin(trials.block_ids, part))
+        for part in _deal(groups, f, seed)
     )
     return SplitPlan(
         train=train, validation=val, test=test,
@@ -187,12 +188,9 @@ def loso_round_robin(trials: TrialMatrix) -> list[SplitPlan]:
 def relabel_blocks(trials: TrialMatrix) -> TrialMatrix:
     """Replace class labels with dense block indices.
 
-    The trial data is untouched bit for bit; the original labels move to
-    ``stimulus_labels``.  On block-design data this is only a renaming; on
-    rapid-event data the new labels are uncorrelated with the stimulus.
+    The trial data is untouched bit for bit.  On block-design data this is
+    only a renaming; on rapid-event data the new labels are uncorrelated with
+    the stimulus.
     """
     _, dense = np.unique(trials.block_ids, return_inverse=True)
-    return trials.replace(
-        labels=dense.astype(np.int64),
-        stimulus_labels=trials.labels.copy(),
-    )
+    return trials.replace(labels=dense.astype(np.int64))

@@ -232,6 +232,17 @@ class TestGridSpec:
         with pytest.raises(ConfigError, match=f"grid axis {axis} has"):
             build_grid_spec(dict(valid["grid"], **grid), 256.0, seed=0)
 
+    def test_bad_split_fractions_rejected(self):
+        # they used to pass until the split ran, after filtering and cutting
+        with pytest.raises(ValueError, match="fractions must be 3 positive"):
+            SplitSpec(sp.WITHIN_BLOCK, (0.5, 0.5, 0.5))
+        valid = load_config("audit", None, {"inputs": ["x"], "out": "y"})
+        grid = dict(valid["grid"], splits=[
+            {"regime": sp.BLOCK_DISJOINT, "fractions": [0.8, 0.3, -0.1]},
+        ])
+        with pytest.raises(ConfigError, match="at grid: fractions"):
+            build_grid_spec(grid, 256.0, seed=0)
+
 
 class TestLeakageGuard:
     def test_overlap_raises(self):

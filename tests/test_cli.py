@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockaudit import load_session, save_session
+from blockaudit import audit as audit_mod
+from blockaudit import dsp, load_session, save_session
 from blockaudit.cli import main
 from blockaudit.config import ConfigError, load_config, validate_config
 
@@ -211,6 +212,64 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "grid axis splits repeats 'within_block'" in err
 
+    @pytest.fixture
+    def grid_calls(self, monkeypatch):
+        """Every run_grid and apply_filter call an audit makes."""
+        calls = []
+        for module, name in ((audit_mod, "run_grid"), (dsp, "apply_filter")):
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_bad_fractions_exit_2_before_any_grid(self, session_dir, tmp_path,
+                                                  capsys, grid_calls):
+        grid = dict(AUDIT_GRID, splits=[
+            {"regime": "within_block", "fractions": [0.5, 0.5, 0.5]},
+        ])
+        cfg = tmp_path / "fractions.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "out": str(tmp_path / "r"), "grid": grid,
+            "inputs": [str(session_dir / "s01_block.baud")],
+        }))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "fractions must be" in err
+        assert grid_calls == []
+
+    def test_cutoff_above_nyquist_exit_2_before_any_grid(
+        self, session_dir, tmp_path, capsys, grid_calls
+    ):
+        # the 256 Hz session's Nyquist is 128 Hz
+        code = main(["audit", "--input", str(session_dir / "s01_block.baud"),
+                     "--out", str(tmp_path / "r"), "--relabel",
+                     "--highpass-cutoffs", "14,500"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "at highpass_cutoffs_hz: cutoff 500.0 Hz outside (0, Nyquist)" in err
+        assert grid_calls == []
+        assert not (tmp_path / "r").exists()
+
+    def test_non_finite_config_number_exit_2(self, session_dir, tmp_path,
+                                             capsys, grid_calls):
+        # json.loads reads NaN, and schema bounds compare false on it: a NaN
+        # alpha used to turn CONTAMINATED into NO_SIGNAL
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "out": str(tmp_path / "r"),
+            "inputs": [str(session_dir / "s01_block.baud")],
+            "verdict": {"alpha": float("nan")},
+        }))
+        assert "NaN" in cfg.read_text()
+        assert main(["audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "at verdict/alpha: not a finite number" in err
+        assert grid_calls == []
+
     def test_missing_input_error(self, tmp_path):
         code = main(["audit", "--input", str(tmp_path / "m.baud"),
                      "--out", str(tmp_path / "r")])
@@ -317,6 +376,22 @@ class TestConfigValidation:
         bad.write_text(json.dumps({"schema_version": 1, "bogus": True}))
         assert main(["synth", "--config", str(bad), "--out",
                      str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag, value, where", [
+        ("--dc-sigma", "nan", "drift/dc_sigma"),
+        ("--sample-rate", "inf", "sample_rate"),
+    ])
+    def test_non_finite_flag_exit_2(self, tmp_path, capsys, flag, value, where):
+        out = tmp_path / "s"
+        assert main(synth_args(out, [flag, value])) == 2
+        assert f"at {where}: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_list_entry_named(self):
+        cfg = {"schema_version": 1, "inputs": ["x"], "out": "y",
+               "highpass_cutoffs_hz": [14.0, float("-inf")]}
+        with pytest.raises(ConfigError, match="at highpass_cutoffs_hz/1:"):
+            validate_config("audit", cfg)
 
     def test_defaults_merge_and_validate(self):
         cfg = load_config("synth", None, {"out": "/tmp/x", "classes": 6})

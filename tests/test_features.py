@@ -4,7 +4,6 @@ import pytest
 from blockaudit import (
     ChannelRanking,
     TrialMatrix,
-    WindowPolicy,
     crop_windows,
     fisher_scores,
     select_channels,
@@ -73,6 +72,23 @@ class TestFisher:
             got = fisher_scores(tm).scores
             want = fisher_oracle(trials.mean(axis=2), labels)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_float32_window_means_match_float64_copy(self):
+        # window means are taken in float64 without a float64 copy of the
+        # stack; the scores equal those of the copied stack bit for bit
+        rng = np.random.default_rng(14)
+        stack = (50.0 + rng.standard_normal((60, 8, 451))).astype(np.float32)
+        labels = np.arange(60) % 4
+        tm = TrialMatrix(
+            trials=stack, labels=labels, block_ids=np.zeros(60, dtype=np.int64),
+            subject_ids=np.array(["s"] * 60), window_samples=451,
+            sample_rate=1024.0,
+        )
+        copied_means = stack.astype(np.float64).mean(axis=2)
+        want = fisher_scores(matrix(copied_means[:, :, None], labels))
+        got = fisher_scores(tm)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        np.testing.assert_array_equal(got.order, want.order)
 
     def test_random_labels_scores_small(self):
         # permutation oracle: with random labels and many trials the max
@@ -165,13 +181,21 @@ class TestCropWindows:
     def test_identity_crop(self):
         rng = np.random.default_rng(8)
         tm = matrix(rng.standard_normal((5, 2, 40)), rng.integers(0, 2, 5))
-        out = crop_windows(tm, WindowPolicy.fixed(40.0, 0.0))
+        out = crop_windows(tm, 40.0, seed=0)
         assert out is tm
+
+    def test_full_width_in_samples_is_identity(self):
+        # 440 ms at 1024 Hz is 451 samples (440.43 ms): the same width as a
+        # 440 ms cut, so the crop is the cut itself, not a copy
+        rng = np.random.default_rng(13)
+        tm = matrix(rng.standard_normal((3, 2, 451)), [0, 1, 0], rate=1024.0)
+        assert 440.0 < tm.window_samples / tm.sample_rate * 1000.0
+        assert crop_windows(tm, 440.0, seed=3) is tm
 
     def test_random_crop_is_per_trial_slice(self):
         rng = np.random.default_rng(12)
         tm = matrix(rng.standard_normal((6, 3, 40)), rng.integers(0, 2, 6))
-        out = crop_windows(tm, WindowPolicy.random(15.0, seed=4))
+        out = crop_windows(tm, 15.0, seed=4)
         starts = np.random.default_rng(4).integers(0, 26, size=6)
         want = [t[:, s : s + 15] for t, s in zip(tm.trials, starts)]
         np.testing.assert_array_equal(out.trials, want)
@@ -179,38 +203,25 @@ class TestCropWindows:
     def test_single_sample_window(self):
         rng = np.random.default_rng(9)
         tm = matrix(rng.standard_normal((5, 2, 440)), rng.integers(0, 2, 5))
-        out = crop_windows(tm, WindowPolicy.random(1.0, seed=0))
+        out = crop_windows(tm, 1.0, seed=0)
         assert out.window_samples == 1
 
     def test_random_offsets_deterministic(self):
         rng = np.random.default_rng(10)
         tm = matrix(rng.standard_normal((20, 2, 50)), rng.integers(0, 2, 20))
-        a = crop_windows(tm, WindowPolicy.random(20.0, seed=5))
-        b = crop_windows(tm, WindowPolicy.random(20.0, seed=5))
+        a = crop_windows(tm, 20.0, seed=5)
+        b = crop_windows(tm, 20.0, seed=5)
         np.testing.assert_array_equal(a.trials, b.trials)
-        c = crop_windows(tm, WindowPolicy.random(20.0, seed=6))
+        c = crop_windows(tm, 20.0, seed=6)
         assert not np.array_equal(a.trials, c.trials)
 
     def test_offsets_cover_valid_range(self):
         tm = matrix(np.tile(np.arange(30.0), (300, 1, 1)), np.zeros(300))
-        out = crop_windows(tm, WindowPolicy.random(10.0, seed=1))
+        out = crop_windows(tm, 10.0, seed=1)
         starts = out.trials[:, 0, 0]
         assert starts.min() == 0.0 and starts.max() == 20.0
-
-    def test_fixed_crop_idempotent(self):
-        rng = np.random.default_rng(11)
-        tm = matrix(rng.standard_normal((4, 2, 30)), rng.integers(0, 2, 4))
-        once = crop_windows(tm, WindowPolicy.fixed(15.0, 5.0))
-        twice = crop_windows(once, WindowPolicy.fixed(15.0, 0.0))
-        np.testing.assert_array_equal(once.trials, twice.trials)
 
     def test_window_too_long(self):
         tm = matrix(np.zeros((2, 1, 10)), [0, 1])
         with pytest.raises(ValueError, match="exceeds"):
-            crop_windows(tm, WindowPolicy.fixed(20.0))
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="seed"):
-            WindowPolicy(window_ms=10.0, mode="random_uniform")
-        with pytest.raises(ValueError, match="window_ms"):
-            WindowPolicy(window_ms=0.0)
+            crop_windows(tm, 20.0, seed=0)

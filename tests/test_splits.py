@@ -189,7 +189,6 @@ class TestRelabelBlocks:
         tm = matrix(labels, blocks)
         out = relabel_blocks(tm)
         np.testing.assert_array_equal(out.labels, [0, 0, 0, 1, 1, 1])
-        np.testing.assert_array_equal(out.stimulus_labels, labels)
 
     def test_data_bit_exact(self):
         tm = block_design(2, 2, 3)
