@@ -3,13 +3,15 @@
 ``run_grid`` evaluates every (filter config, split regime, window, channel
 count, classifier) cell of a :class:`GridSpec` on a session, with all
 fitting steps (z-score statistics, Fisher ranking, model training) restricted
-to training indices and checked against the test set by an instrumentation
-assertion.  Every cell goes through one preprocessing order: filter the whole
-session zero-phase, cut trials at the longest grid window, crop to the
-cell's window, z-score, rank channels by the Fisher score of their window
-means, fit.  ``relabel_analysis`` and ``highpass_ablation`` are the two
-follow-up probes; ``issue_verdict`` turns the named results into one of
-CONTAMINATED / CLEAN_SIGNAL / NO_SIGNAL / INCONCLUSIVE.
+to training indices.  The rows the z-score statistics and the Fisher ranking
+read, and the exact matrix each model is fitted on, are checked against the
+plan's test trial ids; an overlap raises :class:`LeakageError`.  Every cell
+goes through one preprocessing order: filter the whole session zero-phase,
+cut trials at the longest grid window, crop to the cell's window, z-score,
+rank channels by the Fisher score of their window means, fit.
+``relabel_analysis`` and ``highpass_ablation`` are the two follow-up probes;
+``issue_verdict`` turns the named results into one of CONTAMINATED /
+CLEAN_SIGNAL / NO_SIGNAL / INCONCLUSIVE.
 
 Randomness is funneled through ``GridSpec.seed`` and expanded with
 ``numpy.random.SeedSequence`` keyed on the cell coordinate: splits depend on
@@ -229,12 +231,13 @@ def binomial_p_vs_chance(n_correct: int, n_test: int, chance: float) -> float:
     return float(_stats.binomtest(n_correct, n_test, chance).pvalue)
 
 
-def _check_no_leakage(fit_indices: set[int], test_indices: np.ndarray) -> None:
-    overlap = fit_indices.intersection(int(i) for i in test_indices)
-    if overlap:
+def _check_no_leakage(fit_indices, test_indices: np.ndarray) -> None:
+    """Raise LeakageError if a fit's trial ids (array or set) hit a test id."""
+    overlap = np.intersect1d(np.fromiter(fit_indices, np.int64), test_indices)
+    if overlap.size:
         raise LeakageError(
-            f"fitting touched {len(overlap)} test trial(s): "
-            f"{sorted(overlap)[:5]}..."
+            f"fitting touched {overlap.size} test trial(s): "
+            f"{overlap[:5].tolist()}..."
         )
 
 
@@ -301,34 +304,52 @@ def _block_outcomes(
 
 
 class _CellAccumulator:
-    """Pools per-plan test outcomes of one cell (LOSO has several plans)."""
+    """Fits one cell on each plan and pools its outcomes (LOSO has several)."""
 
-    def __init__(self, num_classes: int):
+    def __init__(self, kind: str, train_seed: int, num_classes: int):
+        self.kind = kind
+        self.train_seed = train_seed
         self.confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-        self.n_test = 0
         self.n_train = 0
         self.num_classes = num_classes
         self.error: Exception | None = None
         self.blocks: tuple[int, int] | None = (0, 0)
 
-    def add(self, confusion: np.ndarray, n_train: int,
-            block_outcomes: tuple[int, int] | None):
-        self.confusion += confusion
-        self.n_test += int(confusion.sum())
-        self.n_train += n_train
-        if self.blocks is not None and block_outcomes is not None:
-            self.blocks = (
-                self.blocks[0] + block_outcomes[0],
-                self.blocks[1] + block_outcomes[1],
+    def fit_and_score(
+        self, train: TrialMatrix, test: TrialMatrix, spec: GridSpec
+    ) -> None:
+        """Fit on ``train``, predict ``test`` and pool the outcome; a failure
+        becomes the cell's error, and a failed cell is not fitted again."""
+        if self.error is not None:
+            return
+        x_train, x_test = train.trials, test.trials
+        if self.kind != "cnn1d":
+            x_train = x_train.reshape(x_train.shape[0], -1)
+            x_test = x_test.reshape(x_test.shape[0], -1)
+        try:
+            model = _train_cell_model(
+                self.kind, x_train, train.labels, spec, self.train_seed,
+                self.num_classes,
             )
+            preds = model.predict(x_test)
+        except (ValueError, clf.TrainingDiverged) as exc:
+            self.error = exc
+            return
+        self.confusion += clf._confusion(test.labels, preds, self.num_classes)
+        self.n_train += train.num_trials
+        blocks = _block_outcomes(
+            preds, test.labels, test.block_ids, self.num_classes
+        )
+        if self.blocks is not None and blocks is not None:
+            self.blocks = (self.blocks[0] + blocks[0], self.blocks[1] + blocks[1])
         else:
             self.blocks = None
 
     def result(self) -> CellResult:
         if self.error is not None:
             return _error_cell(self.num_classes, self.error)
+        n_test = int(self.confusion.sum())
         n_correct = int(np.trace(self.confusion))
-        accuracy = n_correct / self.n_test
         chance = 1.0 / self.num_classes
         block_fields: dict = {}
         if self.blocks is not None and self.blocks[0] > 0:
@@ -340,8 +361,8 @@ class _CellAccumulator:
                 ),
             }
         return CellResult(
-            accuracy=accuracy, n_test=self.n_test, n_correct=n_correct,
-            p_value=binomial_p_vs_chance(n_correct, self.n_test, chance),
+            accuracy=n_correct / n_test, n_test=n_test, n_correct=n_correct,
+            p_value=binomial_p_vs_chance(n_correct, n_test, chance),
             num_classes=self.num_classes, confusion=self.confusion,
             n_train=self.n_train, **block_fields,
         )
@@ -358,71 +379,50 @@ def _evaluate_group(
     num_classes: int,
 ) -> dict[tuple[int, str], CellResult]:
     """All (channel count, classifier) cells sharing one (filter, split,
-    window) combination: crop, normalize, and rank once per plan."""
-    inner = list(train_seeds.keys())
-    acc = {key: _CellAccumulator(num_classes) for key in inner}
+    window) combination: crop once; per plan, z-score and rank once and
+    select each channel count once for all its classifiers."""
+    by_channels: dict[int, list[_CellAccumulator]] = {}
+    for (channels, kind), seed in train_seeds.items():
+        by_channels.setdefault(channels, []).append(
+            _CellAccumulator(kind, seed, num_classes)
+        )
     try:
         cropped = features.crop_windows(base, window_ms, crop_seed)
     except ValueError as exc:
-        return {key: _error_cell(num_classes, exc) for key in inner}
+        return {key: _error_cell(num_classes, exc) for key in train_seeds}
 
     for plan in plans:
+        test_ids = cropped.trial_indices[plan.test]
+        # the train_statistics z-score and the Fisher ranking read these rows
+        _check_no_leakage(cropped.trial_indices[plan.train], test_ids)
         try:
-            fit_touched: set[int] = set()
-            if fc.zscore_scope == "train_statistics":
-                matrix = dsp.zscore(
-                    cropped, "train_statistics", train_indices=plan.train
-                )
-                fit_touched.update(int(i) for i in matrix.trial_indices[plan.train])
-            else:
-                matrix = dsp.zscore(cropped, fc.zscore_scope)
-            train_matrix = matrix.take(plan.train)
-            fit_touched.update(int(i) for i in train_matrix.trial_indices)
-            ranking = features.fisher_scores(train_matrix)
-            _check_no_leakage(fit_touched, matrix.trial_indices[plan.test])
-        except LeakageError:
-            raise
+            matrix = dsp.zscore(cropped, fc.zscore_scope, train_indices=plan.train)
+            train, test = matrix.take(plan.train), matrix.take(plan.test)
+            ranking = features.fisher_scores(train)
         except ValueError as exc:
-            for key in inner:
-                acc[key].error = exc
+            for cells in by_channels.values():
+                for cell in cells:
+                    cell.error = exc
             continue
-        test_matrix = matrix.take(plan.test)
-        y_train = train_matrix.labels
-        y_test = test_matrix.labels
-        for channels in dict.fromkeys(ch for ch, _ in inner):
+        for channels, cells in by_channels.items():
             try:
-                x_train3, x_test3 = (
-                    features.select_channels(mat, ranking, channels).trials
-                    for mat in (train_matrix, test_matrix)
+                fit_input, test_input = (
+                    features.select_channels(m, ranking, channels)
+                    for m in (train, test)
                 )
             except ValueError as exc:
-                for key in inner:
-                    if key[0] == channels:
-                        acc[key].error = exc
+                for cell in cells:
+                    cell.error = exc
                 continue
-            x_train = x_train3.reshape(x_train3.shape[0], -1)
-            x_test = x_test3.reshape(x_test3.shape[0], -1)
-            for key in (k for k in inner if k[0] == channels):
-                kind = key[1]
-                if acc[key].error is not None:
-                    continue
-                try:
-                    xt, xe = (
-                        (x_train3, x_test3) if kind == "cnn1d" else (x_train, x_test)
-                    )
-                    model = _train_cell_model(
-                        kind, xt, y_train, spec, train_seeds[key], num_classes
-                    )
-                    preds = model.predict(xe)
-                    acc[key].add(
-                        clf._confusion(y_test, preds, num_classes), y_train.size,
-                        _block_outcomes(
-                            preds, y_test, test_matrix.block_ids, num_classes
-                        ),
-                    )
-                except (ValueError, clf.TrainingDiverged) as exc:
-                    acc[key].error = exc
-    return {key: a.result() for key, a in acc.items()}
+            # the exact rows every model of this channel count is fitted on
+            _check_no_leakage(fit_input.trial_indices, test_ids)
+            for cell in cells:
+                cell.fit_and_score(fit_input, test_input, spec)
+    return {
+        (channels, cell.kind): cell.result()
+        for channels, cells in by_channels.items()
+        for cell in cells
+    }
 
 
 def run_grid(
@@ -533,10 +533,13 @@ class AblationResult:
 
 
 def check_cutoffs(cutoffs_hz: Sequence[float], sample_rate: float) -> None:
-    """Raise ValueError unless every highpass cutoff lies in (0, Nyquist)."""
-    for c in cutoffs_hz:
+    """Raise ValueError unless every highpass cutoff lies in (0, Nyquist)
+    and none repeats (results are keyed by cutoff)."""
+    for i, c in enumerate(cutoffs_hz):
         if not 0 < c < sample_rate / 2:
             raise ValueError(f"cutoff {c} Hz outside (0, Nyquist)")
+        if c in cutoffs_hz[:i]:
+            raise ValueError(f"cutoff {c} Hz repeats")
 
 
 def highpass_ablation(

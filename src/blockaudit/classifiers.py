@@ -77,6 +77,18 @@ def _sgd(params, n: int, config: TrainConfig, rng, step, name: str) -> None:
                 p += v
 
 
+def _training_set(train_x, train_y, name: str):
+    """``(x, int64 labels, float dtype)`` of a training set with >= 2 classes.
+
+    The dtype is ``x``'s own when it is float32 or float64, else float64.
+    """
+    x = np.asarray(train_x)
+    y = np.asarray(train_y, dtype=np.int64)
+    if np.unique(y).size < 2:
+        raise ValueError(f"{name} training needs at least 2 classes")
+    return x, y, x.dtype if x.dtype in (np.float32, np.float64) else np.float64
+
+
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
 # ---------------------------------------------------------------------------
@@ -206,12 +218,8 @@ def train_svm(
     and needs O(n²) extra memory.  With ``D <= n`` the primal form is
     cheaper and is used.
     """
-    train_x = np.asarray(train_x)
-    train_y = np.asarray(train_y, dtype=np.int64)
+    train_x, train_y, dtype = _training_set(train_x, train_y, "SVM")
     classes = int(train_y.max()) + 1
-    if np.unique(train_y).size < 2:
-        raise ValueError("SVM training needs at least 2 classes")
-    dtype = train_x.dtype if train_x.dtype in (np.float32, np.float64) else np.float64
     rng = np.random.default_rng(config.seed)
     n, dim = train_x.shape
     if dim <= n:
@@ -304,12 +312,8 @@ def train_mlp(
     config: TrainConfig = TrainConfig(),
 ) -> MlpModel:
     """Train the two-layer sigmoid MLP with softmax cross-entropy."""
-    train_x = np.asarray(train_x)
-    train_y = np.asarray(train_y, dtype=np.int64)
+    train_x, train_y, dtype = _training_set(train_x, train_y, "MLP")
     classes = int(train_y.max()) + 1
-    if np.unique(train_y).size < 2:
-        raise ValueError("MLP training needs at least 2 classes")
-    dtype = train_x.dtype if train_x.dtype in (np.float32, np.float64) else np.float64
     model = MlpModel.init(
         train_x.shape[1], hidden, classes, seed=config.seed, dtype=dtype,
         weight_decay=config.weight_decay,
@@ -506,11 +510,7 @@ def train_cnn1d(
     train_config: TrainConfig = TrainConfig(),
 ) -> Cnn1dModel:
     """Train the 1-D CNN on an (N, ch, W) trial stack."""
-    x = np.asarray(train_x)
-    y = np.asarray(train_y, dtype=np.int64)
-    if np.unique(y).size < 2:
-        raise ValueError("CNN training needs at least 2 classes")
-    dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
+    x, y, dtype = _training_set(train_x, train_y, "CNN")
     model = Cnn1dModel(
         config, channels=x.shape[1], width=x.shape[2],
         seed=train_config.seed, dtype=dtype,

@@ -382,53 +382,41 @@ def zscore(
 ) -> TrialMatrix:
     """Standardize trials to zero mean, unit population std.
 
-    ``per_trial_channel`` normalizes each trial's each channel over its own
-    window.  ``train_statistics`` fits one per-channel mean/std on the rows
-    named by ``train_indices`` (all samples of those trials pooled) and
-    applies it everywhere, which is the leakage-safe scope for split-based
-    evaluation.  Channels with zero variance map to zeros and raise a
-    :class:`ConstantChannelWarning` instead of dividing by zero.
+    One normalization, two ways to take its statistics.
+    ``per_trial_channel`` takes a mean and std per trial and channel over
+    the trial's own window.  ``train_statistics`` takes one mean and std per
+    channel over all samples of the rows named by ``train_indices`` and
+    applies them to every trial, which is the leakage-safe scope for
+    split-based evaluation.  Either way, a zero std maps its values to zeros
+    and raises a :class:`ConstantChannelWarning` instead of dividing by zero.
     """
     if trials.num_trials == 0:
         raise ValueError("empty trial matrix")
     x = trials.trials
-    dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    # statistics accumulate in float64; normalization stays in the data dtype
     if scope == "per_trial_channel":
-        mean = x.mean(axis=2, keepdims=True, dtype=np.float64)
-        std = x.std(axis=2, keepdims=True, dtype=np.float64)  # population
-        degenerate = std == 0.0
-        if degenerate.any():
-            warnings.warn(
-                f"{int(degenerate.sum())} constant trial-channel(s) z-scored "
-                "to zeros",
-                ConstantChannelWarning,
-                stacklevel=2,
-            )
-        out = (x - mean.astype(dtype)) / np.where(degenerate, 1.0, std).astype(dtype)
-        out[np.broadcast_to(degenerate, out.shape)] = 0.0
+        fit, axes, what = x, 2, "trial-channel(s)"
     elif scope == "train_statistics":
         if train_indices is None:
             raise ValueError("train_statistics scope needs train_indices")
         idx = np.asarray(train_indices, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("train_indices is empty")
-        fit = x[idx]  # (n_train, ch, W)
-        mean = fit.mean(axis=(0, 2), dtype=np.float64)
-        std = fit.std(axis=(0, 2), dtype=np.float64)  # population
-        degenerate = std == 0.0
-        if degenerate.any():
-            warnings.warn(
-                f"{int(degenerate.sum())} constant channel(s) in the training "
-                "statistics z-scored to zeros",
-                ConstantChannelWarning,
-                stacklevel=2,
-            )
-        safe = np.where(degenerate, 1.0, std).astype(dtype)
-        out = (x - mean.astype(dtype)[None, :, None]) / safe[None, :, None]
-        out[:, degenerate, :] = 0.0
+        fit, axes, what = x[idx], (0, 2), "channel(s) in the training statistics"
     else:
         raise ValueError(f"unknown zscore scope {scope!r}")
+    # statistics accumulate in float64; normalization stays in the data dtype
+    mean = fit.mean(axis=axes, keepdims=True, dtype=np.float64)
+    std = fit.std(axis=axes, keepdims=True, dtype=np.float64)  # population
+    degenerate = std == 0.0
+    dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
+    out = (x - mean.astype(dtype)) / np.where(degenerate, 1.0, std).astype(dtype)
+    if degenerate.any():
+        warnings.warn(
+            f"{int(degenerate.sum())} constant {what} z-scored to zeros",
+            ConstantChannelWarning,
+            stacklevel=2,
+        )
+        out[np.broadcast_to(degenerate, out.shape)] = 0.0
     return trials.replace(trials=out.astype(trials.trials.dtype, copy=False))
 
 

@@ -269,6 +269,20 @@ class TestLeakageGuard:
             )
 
 
+    def test_widened_fit_input_is_caught(self, drift_session, monkeypatch):
+        # every trial of the session, test trials included, as run_grid cuts
+        # it for a 440 ms grid
+        every_trial = ba.segment(drift_session, 40.0, 440.0)
+        select = features.select_channels
+        monkeypatch.setattr(
+            features, "select_channels",
+            lambda trials, ranking, m: select(every_trial, ranking, m),
+        )
+        spec = small_spec(256.0, classifiers=("knn",))
+        with pytest.raises(LeakageError, match="test trial"):
+            run_grid(drift_session, spec)
+
+
 @pytest.fixture(scope="module")
 def rapid_session():
     schedule = ba.make_rapid_event_schedule(6, 20, 10, 500.0, 500.0, seed=4)
@@ -374,6 +388,12 @@ class TestHighpassAblation:
     def test_cutoff_validation(self, drift_session):
         with pytest.raises(ValueError, match="Nyquist"):
             highpass_ablation(drift_session, [1000.0], small_spec(256.0))
+
+    def test_repeated_cutoff_rejected_before_any_grid(self, drift_session,
+                                                      monkeypatch):
+        monkeypatch.setattr(ba.audit, "run_grid", None)  # must not be reached
+        with pytest.raises(ValueError, match="cutoff 14.0 Hz repeats"):
+            highpass_ablation(drift_session, [14, 14.0], small_spec(256.0))
 
 
 def _cell(acc, n, classes, blocks=None):

@@ -151,6 +151,17 @@ class TestSvm:
                                         learning_rate=1e-2))
 
 
+@pytest.mark.parametrize("name, train", [
+    ("SVM", lambda x, y: train_svm(x, y, TrainConfig())),
+    ("MLP", lambda x, y: train_mlp(x, y, hidden=2)),
+    ("CNN", lambda x, y: train_cnn1d(
+        x[:, :, None], y, Cnn1dConfig(kernel_len=1, pool_len=1, pool_stride=1))),
+])
+def test_every_trainer_rejects_one_class(name, train):
+    with pytest.raises(ValueError, match=f"{name} training needs at least 2 classes"):
+        train(np.zeros((4, 2), dtype=np.float32), np.zeros(4, dtype=int))
+
+
 class TestMlp:
     def test_xor_learnable(self):
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])

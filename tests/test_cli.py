@@ -254,6 +254,19 @@ class TestAudit:
         assert grid_calls == []
         assert not (tmp_path / "r").exists()
 
+    def test_repeated_cutoff_exit_2_before_any_grid(
+        self, session_dir, tmp_path, capsys, grid_calls
+    ):
+        # a repeat used to run a whole grid whose result was then overwritten
+        code = main(["audit", "--input", str(session_dir / "s01_block.baud"),
+                     "--out", str(tmp_path / "r"),
+                     "--highpass-cutoffs", "14,5,14"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "at highpass_cutoffs_hz: cutoff 14.0 Hz repeats" in err
+        assert grid_calls == []
+        assert not (tmp_path / "r").exists()
+
     def test_non_finite_config_number_exit_2(self, session_dir, tmp_path,
                                              capsys, grid_calls):
         # json.loads reads NaN, and schema bounds compare false on it: a NaN

@@ -270,6 +270,30 @@ class TestZscore:
         expected = (tm.trials - mean[None, :, None]) / std[None, :, None]
         np.testing.assert_allclose(out.trials, expected, atol=1e-12)
 
+    def test_train_statistics_constant_channel_zeroed_with_warning(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((4, 2, 16))
+        x[:2, 1] = 3.0  # constant over the training rows only
+        with pytest.warns(ConstantChannelWarning, match="training statistics"):
+            out = zscore(_matrix(x), "train_statistics", train_indices=[0, 1])
+        np.testing.assert_array_equal(out.trials[:, 1], 0.0)
+        assert np.all(out.trials[:2, 0] != 0.0)
+
+    @pytest.mark.parametrize("scope, axes", [
+        ("per_trial_channel", 2), ("train_statistics", (0, 2)),
+    ])
+    def test_float32_equals_the_formula_bit_for_bit(self, scope, axes):
+        rng = np.random.default_rng(8)
+        x = (rng.standard_normal((6, 3, 40)) * 2.0 + 5.0).astype(np.float32)
+        train = np.array([0, 2, 3])
+        out = zscore(_matrix(x).replace(trials=x), scope, train_indices=train)
+        fit = x[train] if scope == "train_statistics" else x
+        mean = fit.mean(axis=axes, keepdims=True, dtype=np.float64)
+        std = fit.std(axis=axes, keepdims=True, dtype=np.float64)
+        expected = (x - mean.astype(np.float32)) / std.astype(np.float32)
+        assert out.trials.dtype == np.float32
+        assert np.array_equal(out.trials, expected)
+
     def test_train_statistics_requires_indices(self):
         tm = _matrix(np.zeros((2, 1, 4)))
         with pytest.raises(ValueError, match="train_indices"):
