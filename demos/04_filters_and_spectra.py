@@ -1,9 +1,8 @@
 """The preprocessing battery: filter design, spectra, and the VLF footprint.
 
-Designs the named filters from first principles (Butterworth prototype,
-pre-warped bilinear transform, biquad pairing), prints their responses at
-the frequencies that matter, and contrasts the raw spectrum of a drifting
-session with its highpassed version.
+Designs the named Butterworth filters (``scipy.signal.butter`` sections),
+prints their responses at the frequencies that matter, and contrasts the
+raw spectrum of a drifting session with its highpassed version.
 
 Run: python demos/04_filters_and_spectra.py   (~15 s)
 """

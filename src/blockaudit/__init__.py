@@ -23,7 +23,6 @@ from .synthgen import (
     make_rapid_event_schedule,
 )
 from .dsp import (
-    BiquadCascade,
     FilterKind,
     FilterSpec,
     PowerSpectrum,

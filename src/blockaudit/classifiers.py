@@ -562,8 +562,8 @@ def evaluate_accuracy(model, x: np.ndarray, y: np.ndarray,
         raise ValueError("empty test set")
     preds = model.predict(x)
     c = num_classes or int(max(y.max(), preds.max())) + 1
-    accuracy = float((preds == y).mean())
-    return accuracy, _confusion(y, preds, c)
+    confusion = _confusion(y, preds, c)
+    return float(np.trace(confusion) / y.size), confusion
 
 
 def _confusion(y: np.ndarray, preds: np.ndarray, num_classes: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from . import audit as audit_mod
 from . import codebook as codebook_mod
 from . import config as config_mod
 from . import dsp, report, synthgen
+from .classifiers import TrainConfig
 from .dataset import load_session, save_session
 
 
@@ -287,8 +288,6 @@ def _cmd_codebook(flags: dict) -> int:
             dim=src_cfg["dim"], noise_sigma=tr_cfg["noise_sigma"],
             seed=seed + 2000, train_fraction=tr_cfg["train_fraction"],
         )
-        from .classifiers import TrainConfig
-
         acc_raw, acc_reg = codebook_mod.transfer_svm_compare(
             regressor, target,
             train_config=TrainConfig(

@@ -1,10 +1,8 @@
 """Filtering, resampling, rereferencing, normalization, and spectra.
 
-Filters are Butterworth designs built here from first principles: analog
-prototype poles, band transform, bilinear mapping with frequency pre-warping,
-then pairing into stable biquad sections.  Application of a designed cascade
-is delegated to ``scipy.signal`` (``sosfilt``/``sosfiltfilt``), which
-implements the same direct-form recursion with a C inner loop.
+Filters are Butterworth designs with the -3.01 dB points on the cutoffs,
+held as second-order-section (SOS) arrays.  ``scipy.signal`` both designs
+them (``butter``) and applies them (``sosfilt``/``sosfiltfilt``).
 
 The convention throughout is population (divide-by-n) standard deviation.
 """
@@ -17,7 +15,7 @@ from enum import Enum
 import numpy as np
 from scipy import signal as _signal
 
-from .dataset import Session, TrialMatrix
+from .dataset import Session, TrialEvent, TrialMatrix
 
 
 class ConstantChannelWarning(UserWarning):
@@ -83,182 +81,32 @@ class FilterSpec:
         return cls(FilterKind.NOTCH, order, sample_rate, low_hz, high_hz)
 
 
-@dataclass(frozen=True)
-class Biquad:
-    """One second-order section, denominator normalized to a0 = 1."""
+def design_filter(spec: FilterSpec) -> np.ndarray:
+    """The (n, 6) second-order-section array of a :class:`FilterSpec`.
 
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-    def __post_init__(self):
-        # strict stability triangle: poles inside the unit circle
-        if not (abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2):
-            raise ValueError(
-                f"unstable biquad: a1={self.a1}, a2={self.a2} (poles on or "
-                "outside the unit circle)"
-            )
-
-
-@dataclass(frozen=True)
-class BiquadCascade:
-    """A product of biquad sections with one overall scalar gain."""
-
-    sections: tuple[Biquad, ...]
-    gain: float
-
-    def __post_init__(self):
-        if not self.sections:
-            raise ValueError("cascade needs at least one section")
-        object.__setattr__(self, "sections", tuple(self.sections))
-
-    def to_sos(self) -> np.ndarray:
-        """(n, 6) second-order-section array with the gain folded in."""
-        sos = np.array(
-            [[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in self.sections],
-            dtype=np.float64,
-        )
-        sos[0, :3] *= self.gain
-        return sos
+    ``scipy.signal.butter`` pre-warps the edges before the bilinear map, so
+    the -3.01 dB points land exactly on the requested cutoffs.  A notch is a
+    band-stop Butterworth of the given prototype order.
+    """
+    if spec.kind is FilterKind.LOWPASS:
+        edges = spec.high_hz
+    elif spec.kind is FilterKind.HIGHPASS:
+        edges = spec.low_hz
+    else:
+        edges = (spec.low_hz, spec.high_hz)
+    btype = "bandstop" if spec.kind is FilterKind.NOTCH else spec.kind.value
+    return _signal.butter(
+        spec.order, edges, btype=btype, output="sos", fs=spec.sample_rate
+    )
 
 
 def frequency_response(
-    cascade: BiquadCascade, freqs_hz: np.ndarray, sample_rate: float
+    sos: np.ndarray, freqs_hz: np.ndarray, sample_rate: float
 ) -> np.ndarray:
-    """Complex response H(e^{j 2 pi f / fs}) of a cascade at given frequencies."""
-    w = 2.0 * np.pi * np.asarray(freqs_hz, dtype=np.float64) / sample_rate
-    z1 = np.exp(-1j * w)
-    z2 = z1 * z1
-    h = np.full_like(z1, cascade.gain, dtype=np.complex128)
-    for s in cascade.sections:
-        h *= (s.b0 + s.b1 * z1 + s.b2 * z2) / (1.0 + s.a1 * z1 + s.a2 * z2)
-    return h
-
-
-# ---------------------------------------------------------------------------
-# Butterworth design: prototype -> band transform -> bilinear -> sections
-# ---------------------------------------------------------------------------
-
-def _butter_poles(order: int) -> np.ndarray:
-    """Poles of the unit-cutoff analog Butterworth prototype (gain 1)."""
-    k = np.arange(1, order + 1)
-    return np.exp(1j * np.pi * (2 * k + order - 1) / (2 * order))
-
-
-def _warp(freq_hz: float, fs: float) -> float:
-    """Pre-warped analog frequency (rad/s) hitting freq_hz after bilinear."""
-    return 2.0 * fs * np.tan(np.pi * freq_hz / fs)
-
-
-def _lp2lp(p, k, wo):
-    return np.array([]), p * wo, k * wo ** len(p)
-
-
-def _lp2hp(p, k, wo):
-    z = np.zeros(len(p), dtype=complex)
-    k = k * np.real(1.0 / np.prod(-p))
-    return z, wo / p, k
-
-
-def _lp2bp(p, k, wo, bw):
-    p_lp = p * (bw / 2.0)
-    disc = np.sqrt(p_lp**2 - wo**2 + 0j)
-    p_bp = np.concatenate([p_lp + disc, p_lp - disc])
-    z = np.zeros(len(p), dtype=complex)
-    return z, p_bp, k * bw ** len(p)
-
-
-def _lp2bs(p, k, wo, bw):
-    p_hp = (bw / 2.0) / p
-    disc = np.sqrt(p_hp**2 - wo**2 + 0j)
-    p_bs = np.concatenate([p_hp + disc, p_hp - disc])
-    z = np.concatenate(
-        [np.full(len(p), 1j * wo), np.full(len(p), -1j * wo)]
-    )
-    k = k * np.real(1.0 / np.prod(-p))
-    return z, p_bs, k
-
-
-def _bilinear(z, p, k, fs):
-    fs2 = 2.0 * fs
-    degree = len(p) - len(z)
-    zd = (fs2 + z) / (fs2 - z)
-    pd = (fs2 + p) / (fs2 - p)
-    zd = np.concatenate([zd, -np.ones(degree)])
-    kd = k * np.real(np.prod(fs2 - z) / np.prod(fs2 - p))
-    return zd, pd, kd
-
-
-def _pole_quads(poles: np.ndarray) -> list[tuple[float, float]]:
-    """Group poles into (a1, a2) denominators: conjugate pairs, then reals."""
-    tol = 1e-9 * max(1.0, np.abs(poles).max())
-    complex_poles = sorted(
-        (p for p in poles if p.imag > tol),
-        key=lambda p: (-abs(p), p.real),
-    )
-    real_poles = sorted(
-        (p.real for p in poles if abs(p.imag) <= tol), key=lambda r: -abs(r)
-    )
-    n_conj = sum(1 for p in poles if p.imag < -tol)
-    if len(complex_poles) != n_conj:
-        raise ValueError("poles do not form conjugate pairs")
-    quads = [(-2.0 * p.real, abs(p) ** 2) for p in complex_poles]
-    while len(real_poles) >= 2:
-        r1, r2 = real_poles.pop(0), real_poles.pop(0)
-        quads.append((-(r1 + r2), r1 * r2))
-    if real_poles:
-        quads.append((-real_poles.pop(0), 0.0))
-    return quads
-
-
-def design_filter(spec: FilterSpec) -> BiquadCascade:
-    """Design the Butterworth realization of a :class:`FilterSpec`.
-
-    The analog prototype is mapped through the band transform implied by the
-    kind, then discretized by the bilinear transform with pre-warped edges,
-    so the -3.01 dB points land exactly on the requested cutoffs.  A notch is
-    a band-stop Butterworth of the given prototype order.
-    """
-    fs = spec.sample_rate
-    p = _butter_poles(spec.order)
-    k = 1.0
-    if spec.kind is FilterKind.LOWPASS:
-        z, p, k = _lp2lp(p, k, _warp(spec.high_hz, fs))
-    elif spec.kind is FilterKind.HIGHPASS:
-        z, p, k = _lp2hp(p, k, _warp(spec.low_hz, fs))
-    else:
-        w1, w2 = _warp(spec.low_hz, fs), _warp(spec.high_hz, fs)
-        wo, bw = np.sqrt(w1 * w2), w2 - w1
-        if spec.kind is FilterKind.BANDPASS:
-            z, p, k = _lp2bp(p, k, wo, bw)
-        else:
-            z, p, k = _lp2bs(p, k, wo, bw)
-    zd, pd, kd = _bilinear(z, p, k, fs)
-
-    quads = _pole_quads(pd)
-    # All zeros of a Butterworth band shape are homogeneous, so each section
-    # takes its share without any matching problem.  Build exact numerators.
-    if spec.kind is FilterKind.LOWPASS:
-        full, single = (1.0, 2.0, 1.0), (1.0, 1.0, 0.0)          # zeros at -1
-    elif spec.kind is FilterKind.HIGHPASS:
-        full, single = (1.0, -2.0, 1.0), (1.0, -1.0, 0.0)        # zeros at +1
-    elif spec.kind is FilterKind.BANDPASS:
-        full, single = (1.0, 0.0, -1.0), None                    # +1 and -1
-    else:
-        wo = np.sqrt(_warp(spec.low_hz, fs) * _warp(spec.high_hz, fs))
-        z0 = (2.0 * fs + 1j * wo) / (2.0 * fs - 1j * wo)  # |z0| == 1
-        full, single = (1.0, -2.0 * z0.real, 1.0), None          # conj pair on circle
-
-    sections = []
-    for i, (a1, a2) in enumerate(quads):
-        if a2 == 0.0 and single is not None and i == len(quads) - 1:
-            b = single
-        else:
-            b = full
-        sections.append(Biquad(b[0], b[1], b[2], a1, a2))
-    return BiquadCascade(sections=tuple(sections), gain=float(kd))
+    """Complex response H(e^{j 2 pi f / fs}) of an SOS array at given frequencies."""
+    # float, so sosfreqz never reads a whole-number frequency as a point count
+    freqs = np.asarray(freqs_hz, dtype=np.float64)
+    return _signal.sosfreqz(sos, worN=freqs, fs=sample_rate)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +131,7 @@ def _filter_array(
 
 
 def apply_filter(
-    cascade: BiquadCascade,
+    sos: np.ndarray,
     data: Session | np.ndarray,
     mode: str = "zero_phase",
 ):
@@ -295,7 +143,6 @@ def apply_filter(
     shape/type.  The audit grid filters whole sessions zero-phase, before
     they are cut into trials, so no trial edge adds a filter transient.
     """
-    sos = cascade.to_sos()
     if isinstance(data, Session):
         out = np.empty_like(data.samples)
         for start in range(0, data.channels, 8):  # bound peak memory
@@ -326,8 +173,6 @@ def downsample(session: Session, factor: int) -> Session:
     spec = FilterSpec.lowpass(0.8 * new_rate / 2.0, session.sample_rate, order=8)
     filtered = apply_filter(design_filter(spec), session, mode="zero_phase")
     events = []
-    from .dataset import TrialEvent
-
     for ev in session.events:
         length = ev.length_samples // factor
         if length < 1:
@@ -389,6 +234,8 @@ def zscore(
     applies them to every trial, which is the leakage-safe scope for
     split-based evaluation.  Either way, a zero std maps its values to zeros
     and raises a :class:`ConstantChannelWarning` instead of dividing by zero.
+    Float32 and float64 trials keep their dtype; any other dtype (integer
+    trials, say) comes back as float64.
     """
     if trials.num_trials == 0:
         raise ValueError("empty trial matrix")
@@ -417,7 +264,7 @@ def zscore(
             stacklevel=2,
         )
         out[np.broadcast_to(degenerate, out.shape)] = 0.0
-    return trials.replace(trials=out.astype(trials.trials.dtype, copy=False))
+    return trials.replace(trials=out)
 
 
 # ---------------------------------------------------------------------------

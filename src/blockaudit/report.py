@@ -52,19 +52,15 @@ def ablation_csv_text(ablation: AblationResult) -> str:
     ]
     for cutoff in sorted(ablation.by_cutoff):
         hp = ablation.by_cutoff[cutoff]
-        for key in sorted(ablation.baseline.cells):
-            base_cell = ablation.baseline.cells[key]
-            hp_cell = hp.cells.get(key)
-            if hp_cell is None or not base_cell.ok or not hp_cell.ok:
-                continue
+        for key, drop in sorted(ablation.delta(cutoff).items()):
             fname, regime, w, ch, kind = key
             lines.append(
                 ",".join(
                     [
                         f"{cutoff:g}", fname, regime, f"{w:g}", str(ch), kind,
-                        fmt_accuracy(base_cell.accuracy),
-                        fmt_accuracy(hp_cell.accuracy),
-                        fmt_accuracy(base_cell.accuracy - hp_cell.accuracy),
+                        fmt_accuracy(ablation.baseline.cells[key].accuracy),
+                        fmt_accuracy(hp.cells[key].accuracy),
+                        fmt_accuracy(drop),
                     ]
                 )
             )
