@@ -267,6 +267,46 @@ class TestGradientChecks:
         y = rng.integers(0, 3, 4)
         assert gradient_check(model, x, y, epsilon=1e-3) < 1e-4
 
+    def test_cnn_gradients_with_dropout(self):
+        # every evaluation restores the mask stream, so it draws the same
+        # masks and the loss is a smooth function of the parameters
+        rng = np.random.default_rng(19)
+        cfg = Cnn1dConfig(kernels=2, kernel_len=4, pool_len=6, pool_stride=3,
+                          classes=3, dropout_p=0.5)
+        model = Cnn1dModel(cfg, channels=2, width=16, seed=5,
+                           weight_decay=1e-3)
+        x = rng.standard_normal((4, 2, 16))
+        y = rng.integers(0, 3, 4)
+        state = model._mask_rng.bit_generator.state
+
+        class SameMasks:
+            def param_arrays(self):
+                return model.param_arrays()
+
+            def loss_and_grads(self, x, y):
+                model._mask_rng.bit_generator.state = state
+                return model.loss_and_grads(x, y, train=True)
+
+        assert SameMasks().loss_and_grads(x, y)[0] != model.loss_and_grads(x, y)[0]
+        assert gradient_check(SameMasks(), x, y, epsilon=1e-3) < 1e-4
+
+    def test_cnn_large_preactivations_stay_finite(self):
+        cfg = Cnn1dConfig(kernels=2, kernel_len=4, pool_len=6, pool_stride=3,
+                          classes=3, dropout_p=0.0)
+        model = Cnn1dModel(cfg, channels=2, width=16, seed=0, dtype=np.float32)
+        x = np.full((2, 2, 16), 500.0, dtype=np.float32)
+        # one kernel sees a pre-activation far past expm1's float32 overflow
+        # (about 88.7), the other one far below zero
+        pre = 500.0 * model.conv_w.sum(axis=1)
+        assert pre.max() > 200 and pre.min() < -200
+        # keep the logits within a few units, so that the softmax does not
+        # underflow: this test is about the ELU
+        model.fc_time_w *= 1e-3
+        with np.errstate(all="raise"):
+            _, grads = model.loss_and_grads(x, np.array([0, 1]))
+        for g in grads:
+            assert np.isfinite(g).all()
+
     def test_linear_squared_loss_gradients(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((6, 5))
@@ -282,6 +322,71 @@ class TestGradientChecks:
         y = np.array([0, 1, 2])
         _, grads = model.loss_and_grads(x, y)
         np.testing.assert_array_equal(grads[0], 0.0)  # dW1 = x^T @ ...
+
+
+def _fc_time_then_pool(model, x, y):
+    """Logits and the six gradients of ``model`` (float64, no dropout) in the
+    textbook order: ``fc_time`` at every time point, then the mean over each
+    pooling window."""
+    cfg = model.config
+    n, ch, _ = x.shape
+    k, c, t1, points = cfg.kernels, cfg.classes, model.t1, model.pooled
+    windows = np.lib.stride_tricks.sliding_window_view(x, cfg.kernel_len, axis=2)
+    conv = windows @ model.conv_w.T + model.conv_b  # (n, ch, t1, k)
+    act = np.where(conv > 0, conv, np.expm1(np.minimum(conv, 0)))
+    feat = act.transpose(0, 2, 1, 3).reshape(n, t1, ch * k)
+    scores = feat @ model.fc_time_w + model.fc_time_b  # (n, t1, c)
+    starts = [p * cfg.pool_stride for p in range(points)]
+    pooled = np.stack([scores[:, s : s + cfg.pool_len].mean(axis=1)
+                       for s in starts], axis=1)
+    flat = pooled.reshape(n, points * c)
+    logits = flat @ model.fc_out_w + model.fc_out_b
+
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    dlogits = (probs - np.eye(c)[y]) / n
+    dpooled = (dlogits @ model.fc_out_w.T).reshape(n, points, c)
+    dscores = np.zeros_like(scores)
+    for p, s in enumerate(starts):
+        dscores[:, s : s + cfg.pool_len] += dpooled[:, p : p + 1] / cfg.pool_len
+    dact = (dscores @ model.fc_time_w.T).reshape(n, t1, ch, k).transpose(0, 2, 1, 3)
+    dconv = dact * np.where(conv > 0, 1.0, act + 1.0)
+    grads = [
+        np.einsum("nctk,nctl->kl", dconv, windows),
+        dconv.sum(axis=(0, 1, 2)),
+        feat.reshape(-1, ch * k).T @ dscores.reshape(-1, c),
+        dscores.sum(axis=(0, 1)),
+        flat.T @ dlogits,
+        dlogits.sum(axis=0),
+    ]
+    return logits, grads
+
+
+class TestCnnPoolFirst:
+    @pytest.mark.parametrize("kernel_len, pool_len, pool_stride, width, tail", [
+        (5, 4, 6, 30, 4),
+        (3, 7, 2, 20, 1),
+        (1, 1, 1, 9, 0),
+    ], ids=["gaps", "overlap", "degenerate"])
+    def test_same_function_as_fc_time_then_pool(
+        self, kernel_len, pool_len, pool_stride, width, tail
+    ):
+        cfg = Cnn1dConfig(kernels=2, kernel_len=kernel_len, pool_len=pool_len,
+                          pool_stride=pool_stride, classes=3, dropout_p=0.0)
+        model = Cnn1dModel(cfg, channels=3, width=width, seed=4)
+        # time points after the last pooling window feed no class score
+        assert model.t1 - (model.pooled - 1) * pool_stride - pool_len == tail
+        rng = np.random.default_rng(20)
+        for p in model.param_arrays():
+            p[...] = rng.standard_normal(p.shape)  # nonzero biases too
+        x = rng.standard_normal((5, 3, width))
+        y = np.array([0, 1, 2, 1, 0])
+        want_logits, want_grads = _fc_time_then_pool(model, x, y)
+        np.testing.assert_allclose(model.logits(x), want_logits,
+                                   rtol=1e-12, atol=1e-12)
+        _, grads = model.loss_and_grads(x, y)
+        for got, want in zip(grads, want_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestEvaluate:
