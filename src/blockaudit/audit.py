@@ -250,6 +250,51 @@ def _filter_and_segment(
     return segment(session, spec.start_offset_ms, max(spec.windows_ms))
 
 
+def _pool(matrices: list[TrialMatrix], label_mode: str) -> TrialMatrix:
+    matrix = matrices[0] if len(matrices) == 1 else concat_trials(matrices)
+    return splits_mod.relabel_blocks(matrix) if label_mode == "block" else matrix
+
+
+def check_grid(
+    data: Session | Sequence[Session],
+    spec: GridSpec,
+    label_mode: str = "stimulus",
+) -> None:
+    """Raise ValueError, before any sample is filtered, if the grid cannot
+    run on these sessions: a ``cnn1d`` kernel longer than the shortest
+    window, or a split regime the trial design cannot satisfy (too few
+    blocks per class, trials per block or subjects)."""
+    sessions = [data] if isinstance(data, Session) else list(data)
+    if "cnn1d" in spec.classifiers:
+        rate = sessions[0].sample_rate
+        shortest = min(spec.windows_ms)
+        width = int(round(shortest * rate / 1000.0))
+        if width < spec.cnn_kernel_len:
+            raise ValueError(
+                f"cnn1d kernel of {spec.cnn_kernel_len} samples is longer "
+                f"than the shortest window, {shortest:g} ms = {width} "
+                f"samples at {rate:g} Hz"
+            )
+    # each trial's label, block and subject as the grid's matrix carries
+    # them, with an empty sample stack
+    design = _pool(
+        [
+            TrialMatrix(
+                trials=np.empty((len(s.events), 0, 0), dtype=np.float32),
+                labels=[ev.class_label for ev in s.events],
+                block_ids=[ev.block_id for ev in s.events],
+                subject_ids=np.array([s.subject_id] * len(s.events)),
+                window_samples=0,
+                sample_rate=s.sample_rate,
+            )
+            for s in sessions
+        ],
+        label_mode,
+    )
+    for split in spec.splits:
+        splits_mod.check_design(split.regime, design)
+
+
 def _build_plans(
     matrix: TrialMatrix, split: SplitSpec, seed: int
 ) -> list[splits_mod.SplitPlan]:
@@ -379,8 +424,9 @@ def _evaluate_group(
     num_classes: int,
 ) -> dict[tuple[int, str], CellResult]:
     """All (channel count, classifier) cells sharing one (filter, split,
-    window) combination: crop once; per plan, z-score and rank once and
-    select each channel count once for all its classifiers."""
+    window) combination: crop once; per plan, z-score the train and test
+    rows and rank once, and select each channel count once for all its
+    classifiers."""
     by_channels: dict[int, list[_CellAccumulator]] = {}
     for (channels, kind), seed in train_seeds.items():
         by_channels.setdefault(channels, []).append(
@@ -396,8 +442,7 @@ def _evaluate_group(
         # the train_statistics z-score and the Fisher ranking read these rows
         _check_no_leakage(cropped.trial_indices[plan.train], test_ids)
         try:
-            matrix = dsp.zscore(cropped, fc.zscore_scope, train_indices=plan.train)
-            train, test = matrix.take(plan.train), matrix.take(plan.test)
+            train, test = dsp.zscore(cropped, fc.zscore_scope, plan.train, plan.test)
             ranking = features.fisher_scores(train)
         except ValueError as exc:
             for cells in by_channels.values():
@@ -433,19 +478,18 @@ def run_grid(
     """Evaluate the full grid on a session (or pooled sessions).
 
     ``label_mode="block"`` relabels trials by block before anything else
-    (the relabeling probe).  Cell failures are recorded in the cell, never
-    raised; a leakage violation is always raised.
+    (the relabeling probe).  A grid that :func:`check_grid` rejects raises
+    before any filter runs; after that, cell failures are recorded in the
+    cell, never raised, and a leakage violation is always raised.
     """
     if label_mode not in ("stimulus", "block"):
         raise ValueError(f"unknown label_mode {label_mode!r}")
     sessions = [data] if isinstance(data, Session) else list(data)
-    bases: list[TrialMatrix] = []
-    for fc in spec.filter_configs:
-        mats = [_filter_and_segment(s, fc, spec) for s in sessions]
-        matrix = mats[0] if len(mats) == 1 else concat_trials(mats)
-        if label_mode == "block":
-            matrix = splits_mod.relabel_blocks(matrix)
-        bases.append(matrix)
+    check_grid(sessions, spec, label_mode)
+    bases = [
+        _pool([_filter_and_segment(s, fc, spec) for s in sessions], label_mode)
+        for fc in spec.filter_configs
+    ]
     ref = bases[0]
     num_classes = int(ref.labels.max()) + 1
     # 0 means all channels; a count that repeats once resolved is evaluated
@@ -632,6 +676,22 @@ def _cell_label(key: CellKey) -> str:
     return f"{key[4]} w={key[2]}ms ch={key[3]} [{key[0]}]"
 
 
+def _failed_cells(grid: GridResult) -> list[Finding]:
+    """One ``failed_cells`` finding when some cell failed, else none."""
+    failed = sorted(k for k, c in grid.cells.items() if not c.ok)
+    if not failed:
+        return []
+    first = failed[0]
+    return [
+        Finding(
+            name="failed_cells",
+            value=len(failed),
+            detail=f"first: {_cell_label(first)} {first[1]}: "
+            f"{grid.cells[first].error}",
+        )
+    ]
+
+
 def issue_verdict(
     main: GridResult,
     relabel: GridResult | None = None,
@@ -647,7 +707,9 @@ def issue_verdict(
     ``high_multiple`` x chance, p < alpha) while every block-disjoint cell
     sits at chance; clean when both regimes are above chance and their best
     cells agree within ``comparable_points``; no-signal when both regimes
-    are at chance.
+    are at chance.  When some cell of ``main`` failed, the evidence ends
+    with a ``failed_cells`` finding: their count, and the first one's label
+    and error.
     """
     evidence: list[Finding] = []
     wb = main.by_regime(splits_mod.WITHIN_BLOCK)
@@ -666,6 +728,7 @@ def issue_verdict(
                     value=", ".join(missing),
                     detail="required split regimes absent or all-failed",
                 ),
+                *_failed_cells(main),
             ),
         )
 
@@ -764,4 +827,5 @@ def issue_verdict(
                 detail="mixed evidence; inspect the grid",
             )
         )
+    evidence.extend(_failed_cells(main))
     return Verdict(status=status, evidence=tuple(evidence))

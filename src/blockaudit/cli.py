@@ -217,6 +217,10 @@ def _cmd_audit(flags: dict) -> int:
             f"invalid audit config at highpass_cutoffs_hz: {exc}"
         ) from exc
     data = sessions[0] if len(sessions) == 1 else sessions
+    try:
+        audit_mod.check_grid(data, spec)
+    except ValueError as exc:
+        raise config_mod.ConfigError(f"invalid audit config at grid: {exc}") from exc
 
     print(f"running grid: {len(spec.classifiers)} classifiers x "
           f"{len(spec.windows_ms)} windows x {len(spec.channel_counts)} channel "

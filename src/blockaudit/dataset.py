@@ -342,11 +342,19 @@ class TrialMatrix:
         """Return a copy with the given fields swapped out."""
         return replace(self, **changes)
 
-    def take(self, indices: np.ndarray | Sequence[int]) -> "TrialMatrix":
-        """Row subset (copies; the new matrix keeps the original indices)."""
+    def take(
+        self,
+        indices: np.ndarray | Sequence[int],
+        trials: np.ndarray | None = None,
+    ) -> "TrialMatrix":
+        """Row subset (copies; the new matrix keeps the original indices).
+
+        ``trials``, when given, is the stack of those rows as the caller
+        already gathered (and transformed) it, and is used as is.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         return self.replace(
-            trials=self.trials[idx],
+            trials=self.trials[idx] if trials is None else trials,
             labels=self.labels[idx],
             block_ids=self.block_ids[idx],
             subject_ids=self.subject_ids[idx],

@@ -2,13 +2,17 @@
 
 Filters are Butterworth designs with the -3.01 dB points on the cutoffs,
 held as second-order-section (SOS) arrays.  ``scipy.signal`` both designs
-them (``butter``) and applies them (``sosfilt``/``sosfiltfilt``).
+them (``butter``) and applies them (``sosfilt``/``sosfiltfilt``).  A whole
+session is filtered one channel per task on up to 2 threads; every channel
+is filtered on its own, so the output is bit-identical to a serial pass.
 
 The convention throughout is population (divide-by-n) standard deviation.
 """
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -130,6 +134,13 @@ def _filter_array(
     return y.astype(out_dtype or x.dtype, copy=False)
 
 
+def _filter_threads() -> int:
+    """Up to 2 threads, never more than the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
 def apply_filter(
     sos: np.ndarray,
     data: Session | np.ndarray,
@@ -142,12 +153,22 @@ def apply_filter(
     Accepts a Session or a bare (..., T) array and returns the same
     shape/type.  The audit grid filters whole sessions zero-phase, before
     they are cut into trials, so no trial edge adds a filter transient.
+
+    A Session is filtered one channel per task on up to 2 threads (fewer
+    when fewer CPUs are usable), each task writing its own row of the
+    output; ``sosfiltfilt`` releases the GIL, and the output is
+    bit-identical to filtering the channels one after another.
     """
     if isinstance(data, Session):
         out = np.empty_like(data.samples)
-        for start in range(0, data.channels, 8):  # bound peak memory
-            sl = slice(start, start + 8)
-            out[sl] = _filter_array(sos, data.samples[sl], mode, np.float32)
+
+        def filter_row(ch: int) -> None:
+            # one float64 row at a time bounds the temporaries' memory
+            out[ch] = _filter_array(sos, data.samples[ch], mode, np.float32)
+
+        with ThreadPoolExecutor(max_workers=_filter_threads()) as pool:
+            # list() reads every result, so a worker's exception is raised
+            list(pool.map(filter_row, range(data.channels)))
         return Session(
             samples=out,
             sample_rate=data.sample_rate,
@@ -223,48 +244,66 @@ def rereference(session: Session, reference_channels: list[int]) -> Session:
 def zscore(
     trials: TrialMatrix,
     scope: str = "per_trial_channel",
-    train_indices: np.ndarray | None = None,
-) -> TrialMatrix:
-    """Standardize trials to zero mean, unit population std.
+    train: np.ndarray | None = None,
+    test: np.ndarray | None = None,
+) -> tuple[TrialMatrix, TrialMatrix | None]:
+    """Standardize the ``train`` rows and the ``test`` rows of ``trials`` to
+    zero mean, unit population std; return them as ``(train, test)``.
 
     One normalization, two ways to take its statistics.
     ``per_trial_channel`` takes a mean and std per trial and channel over
     the trial's own window.  ``train_statistics`` takes one mean and std per
-    channel over all samples of the rows named by ``train_indices`` and
-    applies them to every trial, which is the leakage-safe scope for
-    split-based evaluation.  Either way, a zero std maps its values to zeros
-    and raises a :class:`ConstantChannelWarning` instead of dividing by zero.
-    Float32 and float64 trials keep their dtype; any other dtype (integer
-    trials, say) comes back as float64.
+    channel over all samples of the ``train`` rows and applies them to the
+    train and the test rows alike, which is the leakage-safe scope for
+    split-based evaluation.  Only those rows are normalized: each set is
+    gathered once and normalized in place, and rows in neither set (a
+    split's validation share, say) are never read.  ``train`` defaults to
+    every row, except under ``train_statistics``; without ``test`` the
+    second result is None.  A zero std maps its values to zeros and raises a
+    :class:`ConstantChannelWarning` instead of dividing by zero.  Float32
+    and float64 trials keep their dtype; any other dtype (integer trials,
+    say) is gathered as float64.
     """
     if trials.num_trials == 0:
         raise ValueError("empty trial matrix")
-    x = trials.trials
     if scope == "per_trial_channel":
-        fit, axes, what = x, 2, "trial-channel(s)"
+        axes, what = 2, "trial-channel(s)"
+        if train is None:
+            train = np.arange(trials.num_trials)
     elif scope == "train_statistics":
-        if train_indices is None:
-            raise ValueError("train_statistics scope needs train_indices")
-        idx = np.asarray(train_indices, dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("train_indices is empty")
-        fit, axes, what = x[idx], (0, 2), "channel(s) in the training statistics"
+        if train is None:
+            raise ValueError("train_statistics scope needs train rows")
+        axes, what = (0, 2), "channel(s) in the training statistics"
     else:
         raise ValueError(f"unknown zscore scope {scope!r}")
-    # statistics accumulate in float64; normalization stays in the data dtype
-    mean = fit.mean(axis=axes, keepdims=True, dtype=np.float64)
-    std = fit.std(axis=axes, keepdims=True, dtype=np.float64)  # population
-    degenerate = std == 0.0
+    rows = [np.asarray(r, dtype=np.int64) for r in (train, test) if r is not None]
+    if rows[0].size == 0:
+        raise ValueError("train rows are empty")
+    x = trials.trials
     dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    out = (x - mean.astype(dtype)) / np.where(degenerate, 1.0, std).astype(dtype)
-    if degenerate.any():
+    out = []
+    constant = 0
+    for i, idx in enumerate(rows):
+        part = x.take(idx, axis=0).astype(dtype, copy=False)
+        if i == 0 or scope == "per_trial_channel":
+            # statistics accumulate in float64 (two-pass std, which does not
+            # cancel on DC offsets); normalization stays in the data dtype
+            mean = part.mean(axis=axes, keepdims=True, dtype=np.float64)
+            std = part.std(axis=axes, keepdims=True, dtype=np.float64)
+            degenerate = std == 0.0
+            constant += int(degenerate.sum())
+        part -= mean.astype(dtype)
+        part /= np.where(degenerate, 1.0, std).astype(dtype)
+        if degenerate.any():
+            part[np.broadcast_to(degenerate, part.shape)] = 0.0
+        out.append(trials.take(idx, trials=part))
+    if constant:
         warnings.warn(
-            f"{int(degenerate.sum())} constant {what} z-scored to zeros",
+            f"{constant} constant {what} z-scored to zeros",
             ConstantChannelWarning,
             stacklevel=2,
         )
-        out[np.broadcast_to(degenerate, out.shape)] = 0.0
-    return trials.replace(trials=out)
+    return out[0], (out[1] if test is not None else None)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,17 @@ def _deal(
     return [np.concatenate(p) for p in parts]
 
 
+def _check_block_sizes(block_ids: np.ndarray) -> np.ndarray:
+    """The distinct blocks; raise unless each holds at least 3 trials."""
+    blocks, sizes = np.unique(block_ids, return_counts=True)
+    if np.any(sizes < 3):
+        small = np.argmax(sizes < 3)
+        raise ValueError(
+            f"block {blocks[small]} has {sizes[small]} trials; need >= 3 to stratify"
+        )
+    return blocks
+
+
 def split_within_block(
     trials: TrialMatrix, fractions=(0.8, 0.1, 0.1), seed: int = 0
 ) -> SplitPlan:
@@ -96,12 +107,7 @@ def split_within_block(
     trials.
     """
     f = _check_fractions(fractions)
-    blocks, sizes = np.unique(trials.block_ids, return_counts=True)
-    if np.any(sizes < 3):
-        small = np.argmax(sizes < 3)
-        raise ValueError(
-            f"block {blocks[small]} has {sizes[small]} trials; need >= 3 to stratify"
-        )
+    blocks = _check_block_sizes(trials.block_ids)
     groups = [np.flatnonzero(trials.block_ids == block) for block in blocks]
     train, val, test = _deal(groups, f, seed)
     return SplitPlan(
@@ -110,11 +116,25 @@ def split_within_block(
     )
 
 
-def _is_block_design(trials: TrialMatrix) -> bool:
-    for block in np.unique(trials.block_ids):
-        if np.unique(trials.labels[trials.block_ids == block]).size > 1:
-            return False
-    return True
+def _block_groups(labels: np.ndarray, block_ids: np.ndarray) -> list[np.ndarray]:
+    """The block ids that block-disjoint splitting deals, one group per
+    class on block-design data, else one group; raise if a group is too
+    small to deal into train, validation and test."""
+    blocks = np.unique(block_ids)
+    block_labels = [np.unique(labels[block_ids == b]) for b in blocks]
+    if all(bl.size == 1 for bl in block_labels):
+        block_class = np.array([int(bl[0]) for bl in block_labels])
+        groups = [blocks[block_class == c] for c in np.unique(block_class)]
+        for g in groups:
+            if g.size < 3:
+                raise ValueError(
+                    "block-disjoint stratification needs >= 3 blocks per "
+                    f"class; a class has only {g.size}"
+                )
+        return groups
+    if blocks.size < 3:
+        raise ValueError("block-disjoint split needs >= 3 blocks")
+    return [blocks]
 
 
 def split_block_disjoint(
@@ -128,27 +148,7 @@ def split_block_disjoint(
     blocks overall.
     """
     f = _check_fractions(fractions)
-    blocks = np.unique(trials.block_ids)
-
-    if _is_block_design(trials):
-        block_class = {
-            int(b): int(trials.labels[trials.block_ids == b][0]) for b in blocks
-        }
-        groups = [
-            np.array([b for b in blocks if block_class[int(b)] == c])
-            for c in np.unique(list(block_class.values()))
-        ]
-        for g in groups:
-            if g.size < 3:
-                raise ValueError(
-                    "block-disjoint stratification needs >= 3 blocks per "
-                    f"class; a class has only {g.size}"
-                )
-    else:
-        if blocks.size < 3:
-            raise ValueError("block-disjoint split needs >= 3 blocks")
-        groups = [blocks]
-
+    groups = _block_groups(trials.labels, trials.block_ids)
     train, val, test = (
         np.flatnonzero(np.isin(trials.block_ids, part))
         for part in _deal(groups, f, seed)
@@ -164,8 +164,7 @@ def split_leave_one_subject_out(
 ) -> SplitPlan:
     """Test on one subject, train on all others; no validation set."""
     subjects = np.asarray(trials.subject_ids).astype(str)
-    if np.unique(subjects).size < 2:
-        raise ValueError("leave-one-subject-out needs >= 2 subjects")
+    _check_subjects(subjects)
     mask = subjects == str(held_out_subject)
     if not mask.any():
         raise ValueError(f"unknown subject {held_out_subject!r}")
@@ -177,6 +176,26 @@ def split_leave_one_subject_out(
         num_trials=trials.num_trials,
         held_out_subject=str(held_out_subject),
     )
+
+
+def _check_subjects(subject_ids: np.ndarray) -> None:
+    if np.unique(np.asarray(subject_ids).astype(str)).size < 2:
+        raise ValueError("leave-one-subject-out needs >= 2 subjects")
+
+
+def check_design(regime: str, trials: TrialMatrix) -> None:
+    """Raise the ValueError that splitting ``trials`` under ``regime`` would
+    raise for want of blocks, block trials or subjects.
+
+    Reads only labels, block ids and subject ids, so a matrix with an empty
+    sample stack checks a design before any sample is processed.
+    """
+    if regime == WITHIN_BLOCK:
+        _check_block_sizes(trials.block_ids)
+    elif regime == BLOCK_DISJOINT:
+        _block_groups(trials.labels, trials.block_ids)
+    else:
+        _check_subjects(trials.subject_ids)
 
 
 def loso_round_robin(trials: TrialMatrix) -> list[SplitPlan]:

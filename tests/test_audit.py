@@ -21,6 +21,7 @@ from blockaudit import (
 from blockaudit.audit import (
     LeakageError,
     _check_no_leakage,
+    _error_cell,
     _evaluate_group,
     binomial_p_vs_chance,
 )
@@ -63,6 +64,20 @@ def noise_session():
     )
 
 
+NOTCH_ARM = FilterConfig(
+    name="notch", filters=(FilterSpec.notch(49.0, 51.0, 256.0, 2),),
+)
+
+
+@pytest.fixture
+def no_filter(monkeypatch):
+    """Make every dsp.apply_filter call fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("dsp.apply_filter called")
+
+    monkeypatch.setattr(dsp, "apply_filter", fail)
+
+
 class TestRunGrid:
     @pytest.mark.parametrize("filters", [
         (), (FilterSpec.notch(49.0, 51.0, 256.0, 2),),
@@ -88,13 +103,15 @@ class TestRunGrid:
         plan = sp.split_within_block(
             matrix, (0.8, 0.1, 0.1), _derive_seed(spec.seed, _SEED_SPLIT, 0)
         )
-        z = dsp.zscore(matrix, "train_statistics", train_indices=plan.train)
-        ranking = features.fisher_scores(z.take(plan.train))
-        z = features.select_channels(z, ranking, 4)
-        x = z.trials.reshape(z.num_trials, -1)
-        model = ba.KnnModel(x[plan.train], z.labels[plan.train], k=7)
+        train, test = dsp.zscore(matrix, "train_statistics", plan.train, plan.test)
+        ranking = features.fisher_scores(train)
+        train, test = (features.select_channels(m, ranking, 4) for m in (train, test))
+        model = ba.KnnModel(
+            train.trials.reshape(train.num_trials, -1), train.labels, k=7
+        )
         acc, confusion = ba.evaluate_accuracy(
-            model, x[plan.test], z.labels[plan.test], matrix.num_classes
+            model, test.trials.reshape(test.num_trials, -1), test.labels,
+            matrix.num_classes,
         )
         assert cell.accuracy == pytest.approx(acc)
         np.testing.assert_array_equal(cell.confusion, confusion)
@@ -166,6 +183,44 @@ class TestRunGrid:
         result = run_grid(drift_session, spec)
         cell = next(iter(result.cells.values()))
         assert not cell.ok and "pool" in cell.error
+
+    @pytest.mark.parametrize("trials_per_class, regime, message", [
+        (12, sp.BLOCK_DISJOINT,
+         "block-disjoint stratification needs >= 3 blocks per class; a class "
+         "has only 1"),
+        (2, sp.WITHIN_BLOCK, "block 0 has 2 trials; need >= 3 to stratify"),
+        (12, sp.LEAVE_ONE_SUBJECT_OUT, "needs >= 2 subjects"),
+    ], ids=["blocks_per_class", "trials_per_block", "subjects"])
+    @pytest.mark.usefixtures("no_filter")
+    def test_unsplittable_design_raises_before_any_filter(
+        self, trials_per_class, regime, message
+    ):
+        schedule = ba.make_block_schedule(4, trials_per_class, 500.0, 200.0,
+                                          seed=2, blocks_per_class=1)
+        session = ba.generate_session(
+            schedule, channels=4, sample_rate=256.0,
+            drift=ba.DriftParams(), evoked=ba.EvokedParams(),
+            subject_id="s01", seed=2,
+        )
+        spec = replace(small_spec(256.0, splits=(SplitSpec(regime),)),
+                       filter_configs=(NOTCH_ARM,))
+        with pytest.raises(ValueError, match=message):
+            run_grid(session, spec)
+
+    @pytest.mark.usefixtures("no_filter")
+    def test_cnn_kernel_longer_than_window_raises_before_any_filter(
+        self, drift_session
+    ):
+        # 440 ms at 256 Hz is 113 samples; the 1000 ms window is long enough
+        spec = replace(
+            small_spec(256.0, classifiers=("knn", "cnn1d"),
+                       windows=(1000.0, 440.0)),
+            cnn_kernel_len=500, filter_configs=(NOTCH_ARM,),
+        )
+        with pytest.raises(ValueError, match="kernel of 500 samples .* 113 samples"):
+            run_grid(drift_session, spec)
+        # a grid without cnn1d may keep the short window
+        ba.audit.check_grid(drift_session, replace(spec, classifiers=("knn",)))
 
     def test_multi_session_loso(self):
         sessions = []
@@ -460,6 +515,39 @@ class TestVerdictRules:
         v = issue_verdict(grid)
         assert v.status is VerdictStatus.INCONCLUSIVE
         assert v.evidence[0].name == "missing_analyses"
+
+    def test_failed_cells_named_last(self):
+        key_wb2 = ("raw", sp.WITHIN_BLOCK, 440.0, 8, "knn")
+        ok = {
+            self.KEY_WB: _cell(0.95, 200, 10),
+            self.KEY_BD: _cell(0.10, 200, 10, blocks=(20, 2)),
+        }
+        clean = issue_verdict(_grid(ok))
+        assert "failed_cells" not in {f.name for f in clean.evidence}
+
+        failed = dict(ok)
+        failed[key_wb2] = _error_cell(10, ValueError("boom"))
+        v = issue_verdict(_grid(failed))
+        assert v.status is clean.status
+        assert v.evidence[:-1] == clean.evidence
+        assert v.evidence[-1].name == "failed_cells"
+        assert v.evidence[-1].value == 1
+        assert v.evidence[-1].detail == (
+            "first: knn w=440.0ms ch=8 [raw] within_block: ValueError: boom"
+        )
+
+    def test_failed_cells_named_when_a_regime_is_missing(self):
+        grid = _grid({
+            self.KEY_WB: _cell(0.95, 200, 10),
+            self.KEY_BD: _error_cell(10, ValueError("too short")),
+            ("raw", sp.BLOCK_DISJOINT, 440.0, 8, "knn"): _error_cell(
+                10, ValueError("too long")),
+        })
+        v = issue_verdict(grid)
+        assert v.status is VerdictStatus.INCONCLUSIVE
+        assert [f.name for f in v.evidence] == ["missing_analyses", "failed_cells"]
+        assert v.evidence[1].value == 2
+        assert v.evidence[1].detail.endswith("block_disjoint: ValueError: too long")
 
     def test_evidence_includes_optional_analyses(self, drift_session):
         spec = small_spec(256.0)

@@ -283,6 +283,40 @@ class TestAudit:
         assert "at verdict/alpha: not a finite number" in err
         assert grid_calls == []
 
+    def test_too_few_blocks_exit_2_before_any_grid(self, tmp_path, capsys,
+                                                   grid_calls):
+        sessions = tmp_path / "one_block"
+        assert main(synth_args(sessions, ["--blocks-per-class", "1"])) == 0
+        cfg = tmp_path / "blocks.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "out": str(tmp_path / "r"), "grid": AUDIT_GRID,
+            "inputs": [str(sessions / "s01_block.baud")],
+        }))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert ("at grid: block-disjoint stratification needs >= 3 blocks per "
+                "class; a class has only 1") in err
+        assert grid_calls == []
+        assert not (tmp_path / "r").exists()
+
+    def test_cnn_kernel_longer_than_window_exit_2_before_any_grid(
+        self, session_dir, tmp_path, capsys, grid_calls
+    ):
+        grid = dict(AUDIT_GRID, classifiers=["knn", "cnn1d"],
+                    cnn={"kernel_len": 500})
+        cfg = tmp_path / "kernel.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "out": str(tmp_path / "r"), "grid": grid,
+            "inputs": [str(session_dir / "s01_block.baud")],
+        }))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        # 440 ms at 256 Hz is 113 samples
+        assert ("at grid: cnn1d kernel of 500 samples is longer than the "
+                "shortest window, 440 ms = 113 samples at 256 Hz") in err
+        assert grid_calls == []
+        assert not (tmp_path / "r").exists()
+
     def test_missing_input_error(self, tmp_path):
         code = main(["audit", "--input", str(tmp_path / "m.baud"),
                      "--out", str(tmp_path / "r")])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -157,6 +159,34 @@ class TestApply:
         cascade = design_filter(FilterSpec.lowpass(50.0, FS, 2))
         with pytest.raises(ValueError, match="empty"):
             apply_filter(cascade, np.zeros((2, 0)))
+        # raised in a filter thread, re-raised to the caller
+        empty = make_session(channels=3, total=0, rate=FS, events=())
+        with pytest.raises(ValueError, match="empty"):
+            apply_filter(cascade, empty)
+
+    @pytest.mark.parametrize("mode", ["causal", "zero_phase"])
+    def test_session_equals_per_row_scipy_bit_for_bit(self, mode):
+        # 13 channels, so the filter threads do not split them evenly; a
+        # short switch interval makes the threads interleave often
+        session = make_session(channels=13, total=3000, rate=FS, events=(),
+                               seed=11)
+        sos = design_filter(FilterSpec.bandpass(14.0, 71.0, FS, 2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = apply_filter(sos, session, mode).samples
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.dtype == np.float32
+        for ch, row in enumerate(session.samples.astype(np.float64)):
+            if mode == "causal":
+                y = sp_signal.sosfilt(sos, row)
+            else:
+                y = sp_signal.sosfiltfilt(sos, row, padlen=3 * (2 * len(sos) + 1))
+            assert np.array_equal(out[ch], y.astype(np.float32)), ch
+        # and equal to filtering the whole (channels, T) stack in one call
+        whole = apply_filter(sos, session.samples, mode).astype(np.float32)
+        assert np.array_equal(out, whole)
 
 
 class TestDownsample:
@@ -233,47 +263,64 @@ class TestRereference:
 class TestZscore:
     def test_two_point_channel(self):
         tm = _matrix(np.array([[[1.0, 3.0]]]))
-        out = zscore(tm, "per_trial_channel")
+        out, _ = zscore(tm, "per_trial_channel")
         np.testing.assert_allclose(out.trials[0, 0], [-1.0, 1.0])
 
     def test_constant_channel_zeroed_with_warning(self):
         tm = _matrix(np.full((1, 1, 8), 7.0))
         with pytest.warns(ConstantChannelWarning):
-            out = zscore(tm, "per_trial_channel")
+            out, _ = zscore(tm, "per_trial_channel")
         np.testing.assert_array_equal(out.trials, 0.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         tm = _matrix(rng.standard_normal((5, 3, 64)))
-        once = zscore(tm, "per_trial_channel")
-        twice = zscore(once, "per_trial_channel")
+        once, _ = zscore(tm, "per_trial_channel")
+        twice, _ = zscore(once, "per_trial_channel")
         np.testing.assert_allclose(once.trials, twice.trials, atol=1e-12)
 
     def test_moments(self):
         rng = np.random.default_rng(5)
         tm = _matrix(rng.standard_normal((4, 2, 128)) * 3.0 + 1.0)
-        out = zscore(tm, "per_trial_channel")
+        out, _ = zscore(tm, "per_trial_channel")
         assert np.abs(out.trials.mean(axis=2)).max() < 1e-9
         assert np.abs(out.trials.std(axis=2) - 1.0).max() < 1e-9
 
     def test_train_statistics_scope(self):
         rng = np.random.default_rng(6)
         tm = _matrix(rng.standard_normal((6, 2, 32)) * 2.0 + 5.0)
-        out = zscore(tm, "train_statistics", train_indices=np.arange(3))
+        train, test = zscore(tm, "train_statistics", np.arange(3), np.arange(3, 6))
         fit = tm.trials[:3].astype(np.float64)
         mean = fit.mean(axis=(0, 2))
         std = fit.std(axis=(0, 2))
         expected = (tm.trials - mean[None, :, None]) / std[None, :, None]
-        np.testing.assert_allclose(out.trials, expected, atol=1e-12)
+        np.testing.assert_allclose(
+            np.concatenate([train.trials, test.trials]), expected, atol=1e-12
+        )
+
+    def test_returns_only_the_requested_rows_and_leaves_input_untouched(self):
+        rng = np.random.default_rng(9)
+        tm = _matrix(rng.standard_normal((6, 2, 16)))
+        before = tm.trials.copy()
+        train, test = zscore(tm, "train_statistics", [4, 0, 2], [5])
+        np.testing.assert_array_equal(train.trial_indices, [4, 0, 2])
+        np.testing.assert_array_equal(test.trial_indices, [5])
+        np.testing.assert_array_equal(test.labels, tm.labels[[5]])
+        np.testing.assert_array_equal(tm.trials, before)
+        assert zscore(tm, "train_statistics", [0, 1])[1] is None
 
     def test_train_statistics_constant_channel_zeroed_with_warning(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 2, 16))
         x[:2, 1] = 3.0  # constant over the training rows only
+        assert np.all(x[2:, 1].std(axis=1) > 0)
+        tm = _matrix(x)
         with pytest.warns(ConstantChannelWarning, match="training statistics"):
-            out = zscore(_matrix(x), "train_statistics", train_indices=[0, 1])
-        np.testing.assert_array_equal(out.trials[:, 1], 0.0)
-        assert np.all(out.trials[:2, 0] != 0.0)
+            train, test = zscore(tm, "train_statistics", [0, 1], [2, 3])
+        np.testing.assert_array_equal(train.trials[:, 1], 0.0)
+        np.testing.assert_array_equal(test.trials[:, 1], 0.0)
+        assert np.all(train.trials[:, 0] != 0.0)
+        assert np.all(test.trials[:, 0] != 0.0)
 
     @pytest.mark.parametrize("scope, axes", [
         ("per_trial_channel", 2), ("train_statistics", (0, 2)),
@@ -281,32 +328,37 @@ class TestZscore:
     def test_float32_equals_the_formula_bit_for_bit(self, scope, axes):
         rng = np.random.default_rng(8)
         x = (rng.standard_normal((6, 3, 40)) * 2.0 + 5.0).astype(np.float32)
-        train = np.array([0, 2, 3])
-        out = zscore(_matrix(x).replace(trials=x), scope, train_indices=train)
+        train, test = np.array([0, 2, 3]), np.array([1, 5])
+        out_train, out_test = zscore(_matrix(x).replace(trials=x), scope, train, test)
         fit = x[train] if scope == "train_statistics" else x
         mean = fit.mean(axis=axes, keepdims=True, dtype=np.float64)
         std = fit.std(axis=axes, keepdims=True, dtype=np.float64)
         expected = (x - mean.astype(np.float32)) / std.astype(np.float32)
-        assert out.trials.dtype == np.float32
-        assert np.array_equal(out.trials, expected)
+        assert out_train.trials.dtype == out_test.trials.dtype == np.float32
+        assert np.array_equal(out_train.trials, expected[train])
+        assert np.array_equal(out_test.trials, expected[test])
 
     @pytest.mark.parametrize("scope, axes", [
         ("per_trial_channel", 2), ("train_statistics", (0, 2)),
     ])
     def test_int64_returns_float64_formula(self, scope, axes):
         x = np.arange(12, dtype=np.int64).reshape(2, 1, 6)
-        train = np.array([0])
-        out = zscore(_matrix(x).replace(trials=x), scope, train_indices=train)
+        train, test = np.array([0]), np.array([1])
+        out_train, out_test = zscore(_matrix(x).replace(trials=x), scope, train, test)
         fit = x[train] if scope == "train_statistics" else x
         mean = fit.mean(axis=axes, keepdims=True, dtype=np.float64)
         std = fit.std(axis=axes, keepdims=True, dtype=np.float64)
-        assert out.trials.dtype == np.float64
-        assert np.array_equal(out.trials, (x - mean) / std)
+        expected = (x - mean) / std
+        assert out_train.trials.dtype == out_test.trials.dtype == np.float64
+        assert np.array_equal(out_train.trials, expected[train])
+        assert np.array_equal(out_test.trials, expected[test])
 
     def test_train_statistics_requires_indices(self):
         tm = _matrix(np.zeros((2, 1, 4)))
-        with pytest.raises(ValueError, match="train_indices"):
+        with pytest.raises(ValueError, match="train rows"):
             zscore(tm, "train_statistics")
+        with pytest.raises(ValueError, match="train rows are empty"):
+            zscore(tm, "train_statistics", [])
 
 
 def _matrix(trials):
