@@ -31,7 +31,7 @@ from scipy import stats as _stats
 
 from . import classifiers as clf
 from . import dsp, features, splits as splits_mod
-from .dataset import Session, TrialMatrix, concat_trials, segment
+from .dataset import Session, TrialMatrix, check_window, concat_trials, segment
 
 
 class LeakageError(AssertionError):
@@ -261,10 +261,13 @@ def check_grid(
     label_mode: str = "stimulus",
 ) -> None:
     """Raise ValueError, before any sample is filtered, if the grid cannot
-    run on these sessions: a ``cnn1d`` kernel longer than the shortest
-    window, or a split regime the trial design cannot satisfy (too few
-    blocks per class, trials per block or subjects)."""
+    run on these sessions: a window (``start_offset_ms`` plus the longest
+    window) past the end of some event, a ``cnn1d`` kernel longer than the
+    shortest window, or a split regime the trial design cannot satisfy (too
+    few blocks per class, trials per block or subjects)."""
     sessions = [data] if isinstance(data, Session) else list(data)
+    for s in sessions:
+        check_window(s, spec.start_offset_ms, max(spec.windows_ms))
     if "cnn1d" in spec.classifiers:
         rate = sessions[0].sample_rate
         shortest = min(spec.windows_ms)

@@ -340,6 +340,13 @@ class Cnn1dConfig:
     fully connected layer maps the flattened pooled map to class logits.
     The code pools first and applies ``fc_time`` to the pooled features: both
     are linear, so it is the same function at a fraction of the cost.
+
+    The convolution runs in tiles: the time axis is zero-padded and cut into
+    overlapping tiles of ``2·kernel_len − 1`` samples at stride
+    ``kernel_len``, and every tile is multiplied by one banded (Toeplitz)
+    matrix of the kernels, which yields ``kernel_len`` output points per
+    tile.  Padded points are pooled with weight 0.  ``dropout_p`` is 0 or
+    0.5: a mask draws one random bit per element, an exact Bernoulli draw.
     """
 
     kernels: int = 8
@@ -352,8 +359,8 @@ class Cnn1dConfig:
     def __post_init__(self):
         if self.kernel_len < 1 or self.kernels < 1:
             raise ValueError("kernels and kernel_len must be >= 1")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
+        if self.dropout_p not in (0.0, 0.5):
+            raise ValueError(f"dropout_p must be 0 or 0.5, got {self.dropout_p!r}")
         if self.pool_len < 1 or self.pool_stride < 1:
             raise ValueError("pool_len and pool_stride must be >= 1")
 
@@ -393,8 +400,11 @@ class Cnn1dModel:
                                         (self.pooled * c, c), dtype)
         self.fc_out_b = np.zeros(c, dtype=dtype)
         self._mask_rng = np.random.default_rng(seed + 1)
-        # (t1, P) averaging matrix: column p is 1/pool_len on window p
-        t = np.arange(self.t1)[:, None]
+        # (n_tiles·L, P) averaging matrix: column p is 1/pool_len on window p.
+        # The conv output comes in tiles of L time points, n_tiles·L >= t1; the
+        # rows of the padded points t >= t1 are zero, so they feed nothing.
+        self.n_tiles = -(-self.t1 // L)
+        t = np.arange(self.n_tiles * L)[:, None]
         starts = np.arange(self.pooled) * config.pool_stride
         self._pool = ((t >= starts) & (t < starts + config.pool_len)).astype(
             dtype) / config.pool_len
@@ -403,22 +413,44 @@ class Cnn1dModel:
         return [self.conv_w, self.conv_b, self.fc_time_w, self.fc_time_b,
                 self.fc_out_w, self.fc_out_b]
 
-    def _mask(self, shape, keep: float, dtype) -> np.ndarray:
-        rand_dtype = np.float32 if dtype == np.float32 else np.float64
-        raw = self._mask_rng.random(shape, dtype=rand_dtype)
-        return (raw < keep).astype(dtype) * dtype.type(1.0 / keep)
+    def _mask(self, shape, dtype) -> np.ndarray:
+        """Dropout mask: one random bit per element, an exact Bernoulli(1/2)
+        draw, scaled by 1/keep = 2 (a mask is drawn only when p = 0.5)."""
+        size = int(np.prod(shape))
+        raw = np.frombuffer(self._mask_rng.bytes(-(-size // 8)), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=size).reshape(shape)
+        return np.multiply(bits, 2, dtype=dtype)
+
+    def _band(self) -> np.ndarray:
+        """(2L − 1, L·K) banded (Toeplitz) matrix of the conv weights: a tile
+        of 2L − 1 samples times it is the conv output at the tile's first L
+        time points, entry (s, r·K + k) being ``conv_w[k, s − r]``, or 0 when
+        s − r is outside [0, L)."""
+        L, K = self.config.kernel_len, self.config.kernels
+        col = np.zeros((3 * L - 2, K), dtype=self.conv_w.dtype)
+        col[L - 1 : 2 * L - 1] = self.conv_w.T
+        row, item = col.strides
+        # [s, r, k] -> col[L − 1 + s − r, k]
+        band = np.lib.stride_tricks.as_strided(
+            col[L - 1 :], (2 * L - 1, L, K), (row, -row, item), writeable=False
+        )
+        return band.reshape(2 * L - 1, L * K)
 
     def _forward(self, x: np.ndarray, train: bool, need_grads: bool = True):
         cfg = self.config
         n, ch, w = x.shape
         if ch != self.channels or w != self.width:
             raise ValueError("input shape does not match the trained model")
-        windows = np.ascontiguousarray(
-            np.lib.stride_tricks.sliding_window_view(x, cfg.kernel_len, axis=2)
-        )  # (n, ch, t1, L); contiguous so the matmuls below hit BLAS
-        conv = (
-            windows.reshape(-1, cfg.kernel_len) @ self.conv_w.T
-        ).reshape(n, ch, self.t1, cfg.kernels)
+        L, K = cfg.kernel_len, cfg.kernels
+        # tiles of 2L − 1 samples at stride L over the zero-padded time axis:
+        # (n, ch, n_tiles, 2L − 1), contiguous so the matmuls below hit BLAS
+        padded = np.pad(x, ((0, 0), (0, 0), (0, self.n_tiles * L + L - 1 - w)))
+        tiles = np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(padded, 2 * L - 1, axis=2)[
+                :, :, ::L]
+        )
+        conv = (tiles.reshape(-1, 2 * L - 1) @ self._band()).reshape(
+            n, ch, self.n_tiles * L, K)
         conv += self.conv_b
         # ELU (alpha=1) with no branch on the sign (it mispredicts on noisy
         # data) and no expm1 of large z (it overflows):
@@ -429,18 +461,18 @@ class Cnn1dModel:
         deriv += 1.0
         cache = {}
         if train and cfg.dropout_p > 0:
-            mask1 = self._mask(act.shape, 1.0 - cfg.dropout_p, act.dtype)
+            mask1 = self._mask(act.shape, act.dtype)
             act *= mask1
             deriv *= mask1  # the backward pass needs only the product
         if need_grads:
-            cache = {"windows": windows, "deriv": deriv}
+            cache = {"tiles": tiles, "deriv": deriv}
         # pool over time, then fc_time per pooled point: (n, ch, P, K) -> (n, P, C)
         feat = np.matmul(self._pool.T, act).transpose(0, 2, 1, 3).reshape(
             n, self.pooled, ch * cfg.kernels)
         cache["feat"] = feat
         pooled = feat @ self.fc_time_w + self.fc_time_b
         if train and cfg.dropout_p > 0:
-            mask2 = self._mask(pooled.shape, 1.0 - cfg.dropout_p, pooled.dtype)
+            mask2 = self._mask(pooled.shape, pooled.dtype)
             pooled *= mask2
             cache["mask2"] = mask2
         flat = pooled.reshape(n, self.pooled * cfg.classes)
@@ -470,10 +502,18 @@ class Cnn1dModel:
         dfeat = (dpooled @ self.fc_time_w.T).reshape(
             n, self.pooled, self.channels, cfg.kernels
         ).transpose(0, 2, 1, 3)
-        dconv = np.matmul(self._pool, dfeat)  # (n, ch, t1, K)
+        dconv = np.matmul(self._pool, dfeat)  # (n, ch, n_tiles·L, K)
         dconv *= cache["deriv"]
-        dconv = dconv.reshape(-1, cfg.kernels)
-        g_conv_w = dconv.T @ cache["windows"].reshape(-1, cfg.kernel_len)
+        L, K = cfg.kernel_len, cfg.kernels
+        tiles = cache["tiles"]
+        g_band = tiles.reshape(-1, 2 * L - 1).T @ dconv.reshape(-1, L * K)
+        # conv_w[k, l] feeds band entries (l + r, r·K + k): sum those diagonals
+        row, item = g_band.strides
+        diagonals = np.lib.stride_tricks.as_strided(
+            g_band, (L, L, K), (row, row + K * item, item), writeable=False
+        )  # [l, r, k] -> g_band[l + r, r·K + k]
+        g_conv_w = diagonals.sum(axis=1).T
+        dconv = dconv.reshape(-1, K)
         # a GEMV sums this tall array several times faster than .sum(axis=0)
         g_conv_b = np.ones(dconv.shape[0], dtype=dconv.dtype) @ dconv
         return [g_conv_w, g_conv_b, g_time_w, g_time_b, g_out_w, g_out_b]

@@ -362,6 +362,31 @@ class TrialMatrix:
         )
 
 
+def check_window(
+    session: Session, start_offset_ms: float, window_ms: float
+) -> tuple[int, int]:
+    """``(offset, width)`` in samples of the window :func:`segment` cuts.
+
+    Both are rounded against the session's rate.  Raises ValueError unless
+    the window fits inside every event, and so inside the recording.  It
+    reads the events only, never the samples.
+    """
+    rate = session.sample_rate
+    offset = int(round(start_offset_ms * rate / 1000.0))
+    width = int(round(window_ms * rate / 1000.0))
+    if width < 1:
+        raise ValueError(f"window of {window_ms} ms is empty at {rate} Hz")
+    if offset < 0:
+        raise ValueError("start_offset_ms must be >= 0")
+    for ev in session.events:
+        if offset + width > ev.length_samples:
+            raise ValueError(
+                f"trial {ev.trial_id}: window {offset}+{width} samples exceeds "
+                f"event length {ev.length_samples}"
+            )
+    return offset, width
+
+
 def segment(
     session: Session, start_offset_ms: float, window_ms: float
 ) -> TrialMatrix:
@@ -370,29 +395,18 @@ def segment(
     The window starts ``start_offset_ms`` after stimulus onset and spans
     ``window_ms``; both are converted to sample counts by rounding against
     the session's rate.  Each window must fit inside its event and inside the
-    recording.
+    recording (see :func:`check_window`).
 
     Returns a matrix whose rows never alias session memory.
     """
     if not session.events:
         raise ValueError("session has no events to segment")
-    rate = session.sample_rate
-    offset = int(round(start_offset_ms * rate / 1000.0))
-    width = int(round(window_ms * rate / 1000.0))
-    if width < 1:
-        raise ValueError(f"window of {window_ms} ms is empty at {rate} Hz")
-    if offset < 0:
-        raise ValueError("start_offset_ms must be >= 0")
+    offset, width = check_window(session, start_offset_ms, window_ms)
     n = len(session.events)
     trials = np.empty((n, session.channels, width), dtype=session.samples.dtype)
     labels = np.empty(n, dtype=np.int64)
     blocks = np.empty(n, dtype=np.int64)
     for i, ev in enumerate(session.events):
-        if offset + width > ev.length_samples:
-            raise ValueError(
-                f"trial {ev.trial_id}: window {offset}+{width} samples exceeds "
-                f"event length {ev.length_samples}"
-            )
         start = ev.onset_sample + offset
         trials[i] = session.samples[:, start : start + width]
         labels[i] = ev.class_label
@@ -404,7 +418,7 @@ def segment(
         block_ids=blocks,
         subject_ids=subjects,
         window_samples=width,
-        sample_rate=rate,
+        sample_rate=session.sample_rate,
     )
 
 

@@ -211,16 +211,29 @@ class TestRunGrid:
     def test_cnn_kernel_longer_than_window_raises_before_any_filter(
         self, drift_session
     ):
-        # 440 ms at 256 Hz is 113 samples; the 1000 ms window is long enough
+        # 440 ms at 256 Hz is 113 samples; the kernel is checked against the
+        # shortest window, and 460 ms (118 samples after the 10-sample offset)
+        # still fits the 128-sample events
         spec = replace(
             small_spec(256.0, classifiers=("knn", "cnn1d"),
-                       windows=(1000.0, 440.0)),
+                       windows=(460.0, 440.0)),
             cnn_kernel_len=500, filter_configs=(NOTCH_ARM,),
         )
         with pytest.raises(ValueError, match="kernel of 500 samples .* 113 samples"):
             run_grid(drift_session, spec)
         # a grid without cnn1d may keep the short window
         ba.audit.check_grid(drift_session, replace(spec, classifiers=("knn",)))
+
+    @pytest.mark.usefixtures("no_filter")
+    def test_window_longer_than_event_raises_before_any_filter(
+        self, drift_session
+    ):
+        # 500 ms events at 256 Hz are 128 samples; 40 ms + 800 ms is 10 + 205
+        spec = small_spec(256.0, windows=(440.0, 800.0))
+        with pytest.raises(ValueError, match=(
+            r"trial 0: window 10\+205 samples exceeds event length 128"
+        )):
+            run_grid(drift_session, spec)
 
     def test_multi_session_loso(self):
         sessions = []

@@ -238,6 +238,29 @@ class TestCnnShapes:
                                                    learning_rate=1e-3))
         np.testing.assert_array_equal(model.logits(x), model.logits(x))
 
+    @pytest.mark.parametrize("p", [0.2, 0.75, -0.5])
+    def test_dropout_other_than_0_or_half_rejected(self, p):
+        with pytest.raises(ValueError, match=f"dropout_p must be 0 or 0.5, got {p}"):
+            Cnn1dConfig(dropout_p=p)
+
+    def test_dropout_mask_is_fair_and_scaled(self):
+        model = Cnn1dModel(Cnn1dConfig(classes=3), channels=1, width=160,
+                           seed=3, dtype=np.float32)
+        mask = model._mask((1000, 1000), np.dtype(np.float32))
+        assert mask.shape == (1000, 1000) and mask.dtype == np.float32
+        assert set(np.unique(mask)) == {0.0, 2.0}
+        kept = np.count_nonzero(mask) / mask.size
+        assert abs(kept - 0.5) < 5 * np.sqrt(0.25 / mask.size)
+
+    def test_training_cache_holds_no_window_copy(self):
+        cfg = Cnn1dConfig(kernels=4, kernel_len=32, pool_len=64,
+                          pool_stride=32, classes=3)
+        model = Cnn1dModel(cfg, channels=5, width=200, seed=0)
+        x = np.random.default_rng(21).standard_normal((6, 5, 200))
+        _, cache = model._forward(x, train=True)
+        window_copy = 6 * 5 * model.t1 * cfg.kernel_len
+        assert max(a.size for a in cache.values()) < window_copy / 2
+
     def test_training_masks_vary_by_step(self):
         cfg = Cnn1dConfig(kernels=2, kernel_len=5, pool_len=8, pool_stride=4,
                           classes=2, dropout_p=0.5)
@@ -367,7 +390,9 @@ class TestCnnPoolFirst:
         (5, 4, 6, 30, 4),
         (3, 7, 2, 20, 1),
         (1, 1, 1, 9, 0),
-    ], ids=["gaps", "overlap", "degenerate"])
+        (8, 2, 2, 12, 1),
+        (6, 1, 1, 6, 0),
+    ], ids=["gaps", "overlap", "degenerate", "partial_tile", "one_point"])
     def test_same_function_as_fc_time_then_pool(
         self, kernel_len, pool_len, pool_stride, width, tail
     ):

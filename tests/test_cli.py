@@ -317,6 +317,23 @@ class TestAudit:
         assert grid_calls == []
         assert not (tmp_path / "r").exists()
 
+    def test_window_longer_than_event_exit_2_before_any_grid(
+        self, session_dir, tmp_path, capsys, grid_calls
+    ):
+        grid = dict(AUDIT_GRID, windows_ms=[440.0, 800.0])
+        cfg = tmp_path / "window.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "out": str(tmp_path / "r"), "grid": grid,
+            "inputs": [str(session_dir / "s01_block.baud")],
+        }))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        # 500 ms events at 256 Hz are 128 samples; 40 ms + 800 ms is 10 + 205
+        assert ("invalid audit config at grid: trial 0: window 10+205 samples "
+                "exceeds event length 128") in err
+        assert grid_calls == []
+        assert not (tmp_path / "r").exists()
+
     def test_missing_input_error(self, tmp_path):
         code = main(["audit", "--input", str(tmp_path / "m.baud"),
                      "--out", str(tmp_path / "r")])
