@@ -262,9 +262,10 @@ def check_grid(
 ) -> None:
     """Raise ValueError, before any sample is filtered, if the grid cannot
     run on these sessions: a window (``start_offset_ms`` plus the longest
-    window) past the end of some event, a ``cnn1d`` kernel longer than the
-    shortest window, or a split regime the trial design cannot satisfy (too
-    few blocks per class, trials per block or subjects)."""
+    window) past the end of some event, a ``cnn1d`` kernel or pooling window
+    longer than the shortest window allows, or a split regime the trial
+    design cannot satisfy (too few blocks per class, trials per block or
+    subjects)."""
     sessions = [data] if isinstance(data, Session) else list(data)
     for s in sessions:
         check_window(s, spec.start_offset_ms, max(spec.windows_ms))
@@ -278,6 +279,13 @@ def check_grid(
                 f"than the shortest window, {shortest:g} ms = {width} "
                 f"samples at {rate:g} Hz"
             )
+        try:
+            _cnn_config(spec, classes=2).pooled_points(width)
+        except ValueError as exc:
+            raise ValueError(
+                f"cnn1d on the shortest window, {shortest:g} ms = {width} "
+                f"samples at {rate:g} Hz: {exc}"
+            ) from None
     # each trial's label, block and subject as the grid's matrix carries
     # them, with an empty sample stack
     design = _pool(
@@ -316,14 +324,17 @@ def _train_cell_model(kind, x_train, y_train, spec, train_seed, num_classes):
         return clf.train_svm(x_train, y_train, cfg, l2=spec.svm_l2)
     if kind == "mlp":
         return clf.train_mlp(x_train, y_train, hidden=spec.mlp_hidden, config=cfg)
-    cnn_cfg = clf.Cnn1dConfig(
+    return clf.train_cnn1d(x_train, y_train, _cnn_config(spec, num_classes), cfg)
+
+
+def _cnn_config(spec: GridSpec, classes: int) -> clf.Cnn1dConfig:
+    return clf.Cnn1dConfig(
         kernels=spec.cnn_kernels,
         kernel_len=spec.cnn_kernel_len,
         pool_len=spec.cnn_pool_len,
         pool_stride=spec.cnn_pool_stride,
-        classes=num_classes,
+        classes=classes,
     )
-    return clf.train_cnn1d(x_train, y_train, cnn_cfg, cfg)
 
 
 def _error_cell(num_classes: int, exc: Exception) -> CellResult:

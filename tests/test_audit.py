@@ -177,12 +177,23 @@ class TestRunGrid:
             assert cell.accuracy == same_index.cells[key].accuracy
             assert cell.p_value == same_index.cells[key].p_value
 
-    def test_cnn_too_short_window_recorded(self, drift_session):
-        spec = small_spec(256.0, classifiers=("cnn1d",), windows=(200.0,),
-                          splits=(SplitSpec(sp.WITHIN_BLOCK, (0.8, 0.1, 0.1)),))
-        result = run_grid(drift_session, spec)
-        cell = next(iter(result.cells.values()))
-        assert not cell.ok and "pool" in cell.error
+    @pytest.mark.usefixtures("no_filter")
+    def test_cnn_window_too_short_to_pool_raises_before_any_filter(
+        self, drift_session
+    ):
+        # 200 ms at 256 Hz is 51 samples: 20 conv points for a 32-sample
+        # kernel; 440 ms is 113 samples and 82 conv points
+        spec = replace(
+            small_spec(256.0, classifiers=("knn", "cnn1d"),
+                       windows=(440.0, 200.0)),
+            cnn_pool_len=64, cnn_pool_stride=32, filter_configs=(NOTCH_ARM,),
+        )
+        with pytest.raises(ValueError, match=(
+            "cnn1d on the shortest window, 200 ms = 51 samples at 256 Hz: "
+            "conv output 20 shorter than pool length 64"
+        )):
+            run_grid(drift_session, spec)
+        ba.audit.check_grid(drift_session, replace(spec, windows_ms=(440.0,)))
 
     @pytest.mark.parametrize("trials_per_class, regime, message", [
         (12, sp.BLOCK_DISJOINT,

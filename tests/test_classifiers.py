@@ -15,7 +15,7 @@ from blockaudit import (
     train_mlp,
     train_svm,
 )
-from blockaudit.classifiers import TrainingDiverged
+from blockaudit.classifiers import _CHUNK_BYTES, TrainingDiverged
 
 
 class TestKnn:
@@ -347,21 +347,25 @@ class TestGradientChecks:
         np.testing.assert_array_equal(grads[0], 0.0)  # dW1 = x^T @ ...
 
 
-def _fc_time_then_pool(model, x, y):
-    """Logits and the six gradients of ``model`` (float64, no dropout) in the
-    textbook order: ``fc_time`` at every time point, then the mean over each
-    pooling window."""
+def _fc_time_then_pool(model, x, y, masks=None):
+    """Logits and the six gradients of ``model`` (float64) in the textbook
+    order: ``fc_time`` at every time point, then the mean over each pooling
+    window.  ``masks``, if given, are the two scaled dropout masks: (n, ch,
+    t1, k) after the ELU and (n, P, C) after pooling."""
     cfg = model.config
     n, ch, _ = x.shape
     k, c, t1, points = cfg.kernels, cfg.classes, model.t1, model.pooled
     windows = np.lib.stride_tricks.sliding_window_view(x, cfg.kernel_len, axis=2)
     conv = windows @ model.conv_w.T + model.conv_b  # (n, ch, t1, k)
-    act = np.where(conv > 0, conv, np.expm1(np.minimum(conv, 0)))
+    elu = np.where(conv > 0, conv, np.expm1(np.minimum(conv, 0)))
+    act = elu if masks is None else elu * masks[0]
     feat = act.transpose(0, 2, 1, 3).reshape(n, t1, ch * k)
     scores = feat @ model.fc_time_w + model.fc_time_b  # (n, t1, c)
     starts = [p * cfg.pool_stride for p in range(points)]
     pooled = np.stack([scores[:, s : s + cfg.pool_len].mean(axis=1)
                        for s in starts], axis=1)
+    if masks is not None:
+        pooled = pooled * masks[1]
     flat = pooled.reshape(n, points * c)
     logits = flat @ model.fc_out_w + model.fc_out_b
 
@@ -369,11 +373,15 @@ def _fc_time_then_pool(model, x, y):
     probs /= probs.sum(axis=1, keepdims=True)
     dlogits = (probs - np.eye(c)[y]) / n
     dpooled = (dlogits @ model.fc_out_w.T).reshape(n, points, c)
+    if masks is not None:
+        dpooled = dpooled * masks[1]
     dscores = np.zeros_like(scores)
     for p, s in enumerate(starts):
         dscores[:, s : s + cfg.pool_len] += dpooled[:, p : p + 1] / cfg.pool_len
     dact = (dscores @ model.fc_time_w.T).reshape(n, t1, ch, k).transpose(0, 2, 1, 3)
-    dconv = dact * np.where(conv > 0, 1.0, act + 1.0)
+    if masks is not None:
+        dact = dact * masks[0]
+    dconv = dact * np.where(conv > 0, 1.0, elu + 1.0)
     grads = [
         np.einsum("nctk,nctl->kl", dconv, windows),
         dconv.sum(axis=(0, 1, 2)),
@@ -412,6 +420,100 @@ class TestCnnPoolFirst:
         _, grads = model.loss_and_grads(x, y)
         for got, want in zip(grads, want_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _mask_bits(rng, shape):
+    """Dropout bits for ``shape`` as a model's mask stream draws them."""
+    size = int(np.prod(shape))
+    raw = np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8)
+    return np.unpackbits(raw, count=size).reshape(shape)
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+class TestCnnChunks:
+    # kernel 7, pooling windows of 16 at stride 12: 16 windows end at conv
+    # point 196 = 28 tiles of 7 (t1 = 200, which ceil(t1/L)·L rounds to 203)
+    CFG = dict(kernels=3, kernel_len=7, pool_len=16, pool_stride=12, classes=3)
+    WIDTH, POINTS, POINTS_DRAWN = 206, 196, 203
+
+    def chunked_model(self, dropout_p, n=7):
+        """A float64 model whose n-trial batch spans 4 chunks of 2, 2, 2 and
+        1 trials: a trial's conv output is just over a third of the budget."""
+        cfg = Cnn1dConfig(dropout_p=dropout_p, **self.CFG)
+        per_point = cfg.kernels * np.dtype(np.float64).itemsize
+        ch = _CHUNK_BYTES // (2 * self.POINTS * per_point)
+        assert _CHUNK_BYTES // (ch * self.POINTS * per_point) == 2
+        model = Cnn1dModel(cfg, channels=ch, width=self.WIDTH, seed=6)
+        assert model.n_tiles * cfg.kernel_len == self.POINTS
+        rng = np.random.default_rng(23)
+        for p in model.param_arrays():
+            p[...] = 0.1 * rng.standard_normal(p.shape)  # nonzero biases too
+        x = rng.standard_normal((n, ch, self.WIDTH))
+        y = rng.integers(0, cfg.classes, n)
+        return model, x, y
+
+    def test_chunks_match_per_trial_step(self):
+        model, x, y = self.chunked_model(0.0)
+        logits = model.logits(x)
+        _, grads = model.loss_and_grads(x, y)
+        for i in range(len(y)):
+            _assert_close(logits[i], model.logits(x[i : i + 1])[0])
+        # the loss is the batch mean, so its gradient is the mean gradient
+        per_trial = [model.loss_and_grads(x[i : i + 1], y[i : i + 1])[1]
+                     for i in range(len(y))]
+        for got, trial_grads in zip(grads, zip(*per_trial)):
+            _assert_close(got, np.mean(trial_grads, axis=0))
+
+    def test_train_step_uses_the_pinned_mask_stream(self):
+        model, x, y = self.chunked_model(0.5)
+        n, ch, _ = x.shape
+        k, c = model.config.kernels, model.config.classes
+        # mask 1 draws ceil(t1/L)·L points per channel, an odd bit count per
+        # trial here, so chunks start inside a byte; mask 2 follows
+        assert ch * self.POINTS_DRAWN * k % 8 != 0
+        rng = np.random.default_rng(6 + 1)
+        mask1 = 2.0 * _mask_bits(rng, (n, ch, self.POINTS_DRAWN, k))[:, :, : model.t1]
+        mask2 = 2.0 * _mask_bits(rng, (n, model.pooled, c))
+        loss, grads = model.loss_and_grads(x, y, train=True)
+        assert model._mask_rng.bit_generator.state == rng.bit_generator.state
+        want_logits, want_grads = _fc_time_then_pool(model, x, y, (mask1, mask2))
+        probs = np.exp(want_logits - want_logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        _assert_close(loss, -np.log(probs[np.arange(n), y]).mean())
+        for got, want in zip(grads, want_grads):
+            _assert_close(got, want)
+
+    def test_samples_past_the_last_pooling_window_feed_nothing(self):
+        cfg = Cnn1dConfig(kernels=2, kernel_len=5, pool_len=7, pool_stride=9,
+                          classes=3)
+        model = Cnn1dModel(cfg, channels=2, width=44, seed=1)
+        # t1 = 40; 4 windows end at conv point 34, fed by samples < 38; the
+        # last tile reads samples up to 38
+        used = (model.pooled - 1) * cfg.pool_stride + cfg.pool_len
+        last = used + cfg.kernel_len - 1
+        assert (model.t1, used, last) == (40, 34, 38)
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((3, 2, 44))
+        y = np.array([0, 1, 2])
+        state = model._mask_rng.bit_generator.state
+
+        def run(x):
+            model._mask_rng.bit_generator.state = state
+            return [model.logits(x), *model.loss_and_grads(x, y)[1],
+                    *model.loss_and_grads(x, y, train=True)[1]]
+
+        want = run(x)
+        tail = x.copy()
+        tail[:, :, last:] = 1e3 * rng.standard_normal(tail[:, :, last:].shape)
+        for got, expected in zip(run(tail), want):
+            np.testing.assert_array_equal(got, expected)
+        # the sample before them feeds the last pooling window
+        tail[:, :, last - 1] += 1.0
+        assert not np.array_equal(model.logits(tail), want[0])
 
 
 class TestEvaluate:

@@ -317,6 +317,25 @@ class TestAudit:
         assert grid_calls == []
         assert not (tmp_path / "r").exists()
 
+    def test_cnn_window_too_short_to_pool_exit_2_before_any_grid(
+        self, session_dir, tmp_path, capsys, grid_calls
+    ):
+        grid = dict(AUDIT_GRID, classifiers=["knn", "cnn1d"])
+        cfg = tmp_path / "pool.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "out": str(tmp_path / "r"), "grid": grid,
+            "inputs": [str(session_dir / "s01_block.baud")],
+        }))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        # 440 ms at 256 Hz is 113 samples, 82 conv points for a 32-sample
+        # kernel, fewer than one 128-point pooling window
+        assert ("invalid audit config at grid: cnn1d on the shortest window, "
+                "440 ms = 113 samples at 256 Hz: conv output 82 shorter than "
+                "pool length 128") in err
+        assert grid_calls == []
+        assert not (tmp_path / "r").exists()
+
     def test_window_longer_than_event_exit_2_before_any_grid(
         self, session_dir, tmp_path, capsys, grid_calls
     ):
