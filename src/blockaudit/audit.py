@@ -38,6 +38,9 @@ class LeakageError(AssertionError):
     """A fitting step touched test-set trials."""
 
 
+# the classifier axis's names, in the order the config schema lists them
+CLASSIFIERS = ("knn", "svm", "mlp", "cnn1d")
+
 # seed-derivation kind codes
 _SEED_SPLIT, _SEED_CROP, _SEED_TRAIN = 0, 1, 2
 
@@ -55,11 +58,7 @@ class SplitSpec:
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
-        if self.regime not in (
-            splits_mod.WITHIN_BLOCK,
-            splits_mod.BLOCK_DISJOINT,
-            splits_mod.LEAVE_ONE_SUBJECT_OUT,
-        ):
+        if self.regime not in splits_mod.REGIMES:
             raise ValueError(f"unknown split regime {self.regime!r}")
         splits_mod._check_fractions(self.fractions)
 
@@ -73,6 +72,10 @@ class FilterConfig:
     filters: tuple[dsp.FilterSpec, ...] = ()
     zscore_scope: str = "train_statistics"
 
+    def __post_init__(self):
+        if self.zscore_scope not in dsp.ZSCORE_SCOPES:
+            raise ValueError(f"unknown zscore scope {self.zscore_scope!r}")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -80,6 +83,8 @@ class GridSpec:
 
     Trials are cut at ``max(windows_ms)``; a window shorter in samples is a
     random per-trial crop of that cut, and any other window is the cut.
+    ``train_config.seed`` is never read: each cell trains with a seed
+    derived from ``seed`` and the cell's coordinate.
     """
 
     classifiers: tuple[str, ...] = ("knn", "svm")
@@ -102,10 +107,11 @@ class GridSpec:
     cnn_pool_stride: int = 64
 
     def __post_init__(self):
-        known = {"knn", "svm", "mlp", "cnn1d"}
-        bad = set(self.classifiers) - known
-        if bad or not self.classifiers:
+        known = set(CLASSIFIERS)
+        if set(self.classifiers) - known or not self.classifiers:
             raise ValueError(f"classifiers must be a non-empty subset of {known}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k={self.knn_k!r} must be >= 1")
         if not self.windows_ms or not self.channel_counts or not self.splits:
             raise ValueError("grid axes must be non-empty")
         if not self.filter_configs:

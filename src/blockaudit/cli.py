@@ -210,6 +210,7 @@ def _cmd_audit(flags: dict) -> int:
     sessions = [load_session(p) for p in cfg["inputs"]]
     rate = sessions[0].sample_rate
     spec = config_mod.build_grid_spec(cfg["grid"], rate, cfg["seed"])
+    cfg["grid"] = config_mod.grid_config(spec)  # the manifest records what ran
     try:
         audit_mod.check_cutoffs(cfg["highpass_cutoffs_hz"], rate)
     except ValueError as exc:

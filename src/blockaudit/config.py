@@ -9,11 +9,13 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import asdict
+from enum import Enum
 from pathlib import Path
 
 import jsonschema
 
-from . import audit, classifiers, dsp, splits
+from . import audit, classifiers, dsp, splits, synthgen
 
 SCHEMA_VERSION = 1
 
@@ -46,7 +48,7 @@ _GRID_SCHEMA = {
     "properties": {
         "classifiers": {
             "type": "array",
-            "items": {"enum": ["knn", "svm", "mlp", "cnn1d"]},
+            "items": {"enum": list(audit.CLASSIFIERS)},
             "minItems": 1,
         },
         "windows_ms": {
@@ -64,13 +66,7 @@ _GRID_SCHEMA = {
             "items": {
                 "type": "object",
                 "properties": {
-                    "regime": {
-                        "enum": [
-                            splits.WITHIN_BLOCK,
-                            splits.BLOCK_DISJOINT,
-                            splits.LEAVE_ONE_SUBJECT_OUT,
-                        ]
-                    },
+                    "regime": {"enum": list(splits.REGIMES)},
                     "fractions": {
                         "type": "array",
                         "items": {"type": "number"},
@@ -90,9 +86,7 @@ _GRID_SCHEMA = {
                 "properties": {
                     "name": {"type": "string"},
                     "filters": {"type": "array", "items": _FILTER_SCHEMA},
-                    "zscore_scope": {
-                        "enum": ["train_statistics", "per_trial_channel"]
-                    },
+                    "zscore_scope": {"enum": list(dsp.ZSCORE_SCOPES)},
                 },
                 "required": ["name"],
                 "additionalProperties": False,
@@ -116,6 +110,16 @@ _GRID_SCHEMA = {
         },
     },
     "additionalProperties": False,
+}
+
+# the Welch spectrum settings of `spectrum`, and of `audit` under "spectrum"
+_SPECTRUM_SCHEMA = {
+    "segment_samples": {"type": "integer", "minimum": 2},
+    "overlap_fraction": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+    "vlf_cutoff_hz": {"type": "number", "exclusiveMinimum": 0},
+}
+_SPECTRUM_DEFAULTS = {
+    "segment_samples": 4096, "overlap_fraction": 0.5, "vlf_cutoff_hz": 5.0,
 }
 
 SCHEMAS: dict[str, dict] = {
@@ -188,13 +192,7 @@ SCHEMAS: dict[str, dict] = {
             "highpass_cutoffs_hz": {"type": "array", "items": {"type": "number"}},
             "spectrum": {
                 "type": "object",
-                "properties": {
-                    "segment_samples": {"type": "integer", "minimum": 2},
-                    "overlap_fraction": {
-                        "type": "number", "minimum": 0, "exclusiveMaximum": 1,
-                    },
-                    "vlf_cutoff_hz": {"type": "number", "exclusiveMinimum": 0},
-                },
+                "properties": _SPECTRUM_SCHEMA,
                 "additionalProperties": False,
             },
             "verdict": {
@@ -271,11 +269,7 @@ SCHEMAS: dict[str, dict] = {
             "schema_version": {"const": SCHEMA_VERSION},
             "input": {"type": "string"},
             "out": {"type": "string"},
-            "segment_samples": {"type": "integer", "minimum": 2},
-            "overlap_fraction": {
-                "type": "number", "minimum": 0, "exclusiveMaximum": 1,
-            },
-            "vlf_cutoff_hz": {"type": "number", "exclusiveMinimum": 0},
+            **_SPECTRUM_SCHEMA,
         },
         "required": ["schema_version", "input", "out"],
         "additionalProperties": False,
@@ -295,11 +289,8 @@ DEFAULTS: dict[str, dict] = {
         "blank_ms": 10000.0,
         "channels": 96,
         "sample_rate": 1024.0,
-        "drift": {"dc_sigma": 5.0, "walk_sigma": 0.05, "noise_sigma": 1.0},
-        "evoked": {
-            "enabled": False, "amplitude": 0.0,
-            "template_ms": 150.0, "center_hz": 30.0,
-        },
+        "drift": asdict(synthgen.DriftParams()),
+        "evoked": asdict(synthgen.EvokedParams()),
         "subjects": ["s01"],
     },
     "preprocess": {
@@ -312,41 +303,27 @@ DEFAULTS: dict[str, dict] = {
     "audit": {
         "schema_version": SCHEMA_VERSION,
         "seed": 0,
+        # the audit's own choices: every value the grid leaves out is the
+        # default of the dataclass that uses it (GridSpec, SplitSpec, ...)
         "grid": {
-            "classifiers": ["knn", "svm"],
             "windows_ms": [440.0, 1.0],
             "channel_counts": [0, 8],
             "splits": [
-                {"regime": splits.WITHIN_BLOCK, "fractions": [0.8, 0.1, 0.1]},
+                {"regime": splits.WITHIN_BLOCK},
                 {"regime": splits.BLOCK_DISJOINT, "fractions": [0.6, 0.2, 0.2]},
             ],
             "filter_configs": [
                 {
                     "name": "notch",
-                    "filters": [
-                        {"kind": "notch", "low_hz": 49.0, "high_hz": 51.0, "order": 2}
-                    ],
-                    "zscore_scope": "train_statistics",
+                    "filters": [{"kind": "notch", "low_hz": 49.0, "high_hz": 51.0}],
                 }
             ],
-            "start_offset_ms": 40.0,
-            "knn_k": 7,
-            "svm_l2": 1e-3,
-            "mlp_hidden": 128,
-            "train": {
-                "epochs": 50, "batch_size": 64, "learning_rate": 3e-5,
-                "momentum": 0.9, "weight_decay": 0.0,
-            },
-            "cnn": {
-                "kernels": 8, "kernel_len": 32, "pool_len": 128, "pool_stride": 64,
-            },
+            "train": {"learning_rate": 3e-5},
         },
         "relabel": False,
         "highpass_cutoffs_hz": [],
-        "spectrum": {
-            "segment_samples": 4096, "overlap_fraction": 0.5, "vlf_cutoff_hz": 5.0,
-        },
-        "verdict": {"alpha": 0.01, "high_multiple": 3.0, "comparable_points": 0.10},
+        "spectrum": dict(_SPECTRUM_DEFAULTS),
+        "verdict": asdict(audit.VerdictConfig()),
     },
     "codebook": {
         "schema_version": SCHEMA_VERSION,
@@ -364,12 +341,7 @@ DEFAULTS: dict[str, dict] = {
         "ridge_l2": 1e-2,
         "svm": {"epochs": 50, "learning_rate": 1e-4, "l2": 1e-4},
     },
-    "spectrum": {
-        "schema_version": SCHEMA_VERSION,
-        "segment_samples": 4096,
-        "overlap_fraction": 0.5,
-        "vlf_cutoff_hz": 5.0,
-    },
+    "spectrum": {"schema_version": SCHEMA_VERSION, **_SPECTRUM_DEFAULTS},
 }
 
 
@@ -442,52 +414,63 @@ def build_filter_spec(d: dict, sample_rate: float) -> dsp.FilterSpec:
     )
 
 
+def _typed(value, schema: dict):
+    """A validated config value with the Python types its schema names:
+    arrays become tuples and a JSON ``440`` "number" becomes ``440.0``."""
+    if isinstance(value, dict):
+        return {k: _typed(v, schema["properties"][k]) for k, v in value.items()}
+    if isinstance(value, list):
+        return tuple(_typed(v, schema["items"]) for v in value)
+    if schema.get("type") == "integer":
+        return int(value)
+    return float(value) if schema.get("type") == "number" else value
+
+
+def _filter_config(fc: dict, sample_rate: float) -> audit.FilterConfig:
+    if "filters" in fc:
+        specs = tuple(build_filter_spec(f, sample_rate) for f in fc["filters"])
+        fc = dict(fc, filters=specs)
+    return audit.FilterConfig(**fc)
+
+
 def build_grid_spec(grid: dict, sample_rate: float, seed: int) -> audit.GridSpec:
-    """The audit grid of a validated config; an invalid grid, such as a
+    """The audit grid of a validated config; a key the grid leaves out takes
+    the default of the dataclass that uses it.  An invalid grid, such as a
     repeated axis entry, a negative channel count, a window that is not
     positive or a filter edge above Nyquist, raises ConfigError."""
-    train = grid["train"]
     try:
-        return audit.GridSpec(
-            classifiers=tuple(grid["classifiers"]),
-            windows_ms=tuple(float(w) for w in grid["windows_ms"]),
-            channel_counts=tuple(int(c) for c in grid["channel_counts"]),
-            splits=tuple(
-                audit.SplitSpec(
-                    regime=s["regime"],
-                    fractions=tuple(s.get("fractions", [0.8, 0.1, 0.1])),
-                )
-                for s in grid["splits"]
-            ),
-            filter_configs=tuple(
-                audit.FilterConfig(
-                    name=fc["name"],
-                    filters=tuple(
-                        build_filter_spec(f, sample_rate)
-                        for f in fc.get("filters", [])
-                    ),
-                    zscore_scope=fc.get("zscore_scope", "train_statistics"),
-                )
-                for fc in grid["filter_configs"]
-            ),
-            seed=seed,
-            start_offset_ms=float(grid["start_offset_ms"]),
-            knn_k=int(grid["knn_k"]),
-            svm_l2=float(grid["svm_l2"]),
-            mlp_hidden=int(grid["mlp_hidden"]),
-            train_config=classifiers.TrainConfig(
-                seed=seed,
-                epochs=int(train["epochs"]),
-                batch_size=int(train["batch_size"]),
-                learning_rate=float(train["learning_rate"]),
-                momentum=float(train["momentum"]),
-                weight_decay=float(train["weight_decay"]),
-            ),
-            cnn_kernels=int(grid["cnn"]["kernels"]),
-            cnn_kernel_len=int(grid["cnn"]["kernel_len"]),
-            cnn_pool_len=int(grid["cnn"]["pool_len"]),
-            cnn_pool_stride=int(grid["cnn"]["pool_stride"]),
-        )
+        kw = _typed(grid, _GRID_SCHEMA)
+        kw.update({f"cnn_{k}": v for k, v in kw.pop("cnn", {}).items()})
+        if "train" in kw:
+            kw["train_config"] = classifiers.TrainConfig(**kw.pop("train"))
+        if "splits" in kw:
+            kw["splits"] = tuple(audit.SplitSpec(**s) for s in kw["splits"])
+        if "filter_configs" in kw:
+            kw["filter_configs"] = tuple(
+                _filter_config(fc, sample_rate) for fc in kw["filter_configs"]
+            )
+        return audit.GridSpec(seed=seed, **kw)
     except ValueError as exc:
         raise ConfigError(f"invalid audit config at grid: {exc}") from exc
 
+
+def _json_fields(pairs) -> dict:
+    return {
+        k: list(v) if isinstance(v, tuple) else v.value if isinstance(v, Enum) else v
+        for k, v in pairs
+    }
+
+
+def grid_config(spec: audit.GridSpec) -> dict:
+    """The config grid of ``spec`` with every value resolved: the inverse of
+    ``build_grid_spec``, whose arguments it leaves out (the seed, and the
+    sample rate of each filter)."""
+    grid = asdict(spec, dict_factory=_json_fields)
+    del grid["seed"], grid["train_config"]["seed"]
+    grid["train"] = grid.pop("train_config")
+    cnn_keys = _GRID_SCHEMA["properties"]["cnn"]["properties"]
+    grid["cnn"] = {k: grid.pop(f"cnn_{k}") for k in cnn_keys}
+    for fc in grid["filter_configs"]:
+        for f in fc["filters"]:
+            del f["sample_rate"]
+    return grid

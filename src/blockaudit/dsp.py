@@ -241,6 +241,9 @@ def rereference(session: Session, reference_channels: list[int]) -> Session:
 # Normalization
 # ---------------------------------------------------------------------------
 
+ZSCORE_SCOPES = ("train_statistics", "per_trial_channel")
+
+
 def zscore(
     trials: TrialMatrix,
     scope: str = "per_trial_channel",
@@ -266,16 +269,16 @@ def zscore(
     """
     if trials.num_trials == 0:
         raise ValueError("empty trial matrix")
+    if scope not in ZSCORE_SCOPES:
+        raise ValueError(f"unknown zscore scope {scope!r}")
     if scope == "per_trial_channel":
         axes, what = 2, "trial-channel(s)"
         if train is None:
             train = np.arange(trials.num_trials)
-    elif scope == "train_statistics":
+    else:
         if train is None:
             raise ValueError("train_statistics scope needs train rows")
         axes, what = (0, 2), "channel(s) in the training statistics"
-    else:
-        raise ValueError(f"unknown zscore scope {scope!r}")
     rows = [np.asarray(r, dtype=np.int64) for r in (train, test) if r is not None]
     if rows[0].size == 0:
         raise ValueError("train rows are empty")

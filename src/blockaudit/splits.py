@@ -18,6 +18,7 @@ from .dataset import TrialMatrix
 WITHIN_BLOCK = "within_block"
 BLOCK_DISJOINT = "block_disjoint"
 LEAVE_ONE_SUBJECT_OUT = "leave_one_subject_out"
+REGIMES = (WITHIN_BLOCK, BLOCK_DISJOINT, LEAVE_ONE_SUBJECT_OUT)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ lines.
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from scipy import stats
 import blockaudit as ba
 from blockaudit import dsp, splits as sp
 from blockaudit.cli import main as cli_main
+from blockaudit.config import DEFAULTS, build_grid_spec
 
-TRAIN = ba.TrainConfig(seed=0, epochs=50, batch_size=64, learning_rate=3e-5)
 CHANCE40 = 1.0 / 40.0
 
 
@@ -41,27 +42,9 @@ def block_session():
 
 
 def reduced_grid_spec(rate, **overrides):
-    kw = dict(
-        classifiers=("knn", "svm"),
-        windows_ms=(440.0, 1.0),
-        channel_counts=(0, 8),
-        splits=(
-            ba.SplitSpec(sp.WITHIN_BLOCK, (0.8, 0.1, 0.1)),
-            ba.SplitSpec(sp.BLOCK_DISJOINT, (0.6, 0.2, 0.2)),
-        ),
-        filter_configs=(
-            ba.FilterConfig(
-                name="notch",
-                filters=(ba.FilterSpec.notch(49.0, 51.0, rate, 2),),
-                zscore_scope="train_statistics",
-            ),
-        ),
-        seed=2024,
-        train_config=TRAIN,
-        svm_l2=1e-3,
-    )
-    kw.update(overrides)
-    return ba.GridSpec(**kw)
+    """`blockaudit audit`'s default grid at ``rate``, with grid seed 2024."""
+    grid = build_grid_spec(DEFAULTS["audit"]["grid"], rate, seed=2024)
+    return replace(grid, **overrides)
 
 
 @pytest.fixture(scope="module")

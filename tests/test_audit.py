@@ -236,6 +236,23 @@ class TestRunGrid:
         ba.audit.check_grid(drift_session, replace(spec, classifiers=("knn",)))
 
     @pytest.mark.usefixtures("no_filter")
+    def test_bad_zscore_scope_raises_before_any_filter(self, drift_session):
+        # it used to pass filtering and then fail every cell
+        with pytest.raises(ValueError, match="unknown zscore scope 'bogus'"):
+            run_grid(drift_session, replace(
+                small_spec(256.0),
+                filter_configs=(replace(NOTCH_ARM, zscore_scope="bogus"),),
+            ))
+
+    @pytest.mark.usefixtures("no_filter")
+    def test_knn_k_below_one_raises_before_any_filter(self, drift_session):
+        # it used to pass filtering and then fail every kNN cell
+        with pytest.raises(ValueError, match="knn_k=0 must be >= 1"):
+            run_grid(drift_session, replace(
+                small_spec(256.0), filter_configs=(NOTCH_ARM,), knn_k=0,
+            ))
+
+    @pytest.mark.usefixtures("no_filter")
     def test_window_longer_than_event_raises_before_any_filter(
         self, drift_session
     ):

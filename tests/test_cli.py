@@ -154,6 +154,45 @@ class TestAudit:
                 replay_dir / name
             ).read_bytes(), name
 
+    def test_manifest_records_the_resolved_grid(self, session_dir, tmp_path):
+        # the config leaves out a split's fractions, an arm's zscore_scope
+        # and a filter's order; the manifest records what ran
+        grid = dict(
+            AUDIT_GRID,
+            splits=[{"regime": "within_block"}, AUDIT_GRID["splits"][1]],
+            filter_configs=[{"name": "lp",
+                             "filters": [{"kind": "lowpass", "high_hz": 100}]}],
+        )
+        run = tmp_path / "run"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "seed": 9, "out": str(run), "grid": grid,
+            "inputs": [str(session_dir / "s01_block.baud")],
+        }))
+        assert main(["audit", "--config", str(cfg)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        recorded = manifest["config"]["grid"]
+        assert recorded["splits"][0]["fractions"] == list(
+            audit_mod.SplitSpec("within_block").fractions
+        )
+        arm = recorded["filter_configs"][0]
+        assert arm["zscore_scope"] == audit_mod.FilterConfig("x").zscore_scope
+        assert arm["filters"] == [
+            {"kind": "lowpass", "order": 2, "low_hz": None, "high_hz": 100},
+        ]
+        assert recorded["knn_k"] == audit_mod.GridSpec().knn_k
+        assert recorded["train"]["epochs"] == 40
+
+        replay = tmp_path / "replay"
+        manifest["config"]["out"] = str(replay)
+        cfg.write_text(json.dumps(manifest))
+        assert main(["audit", "--config", str(cfg)]) == 0
+        for path in sorted(run.iterdir()):
+            text = path.read_text()
+            if path.name == "manifest.json":
+                text = text.replace(str(run), str(replay))
+            assert (replay / path.name).read_text() == text, path.name
+
     def test_manifest_with_threads_rejected(self, report_dir, tmp_path, capsys):
         manifest = json.loads((report_dir / "manifest.json").read_text())
         manifest["config"]["out"] = str(tmp_path / "replay")

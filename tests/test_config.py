@@ -1,0 +1,143 @@
+"""Config defaults and the grid's config round trip."""
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockaudit import audit, dsp, splits as sp
+from blockaudit.classifiers import TrainConfig
+from blockaudit.config import (
+    DEFAULTS,
+    SCHEMAS,
+    build_grid_spec,
+    grid_config,
+    validate_config,
+)
+from blockaudit.dsp import FilterKind, FilterSpec
+
+RATES = (256.0, 512.0, 1024.0)
+
+
+@st.composite
+def filter_specs(draw, rate):
+    kind = draw(st.sampled_from(list(FilterKind)))
+    nyq = rate / 2.0
+    low, high = sorted(draw(st.lists(
+        st.floats(0.01, 0.99), min_size=2, max_size=2, unique=True,
+    )))
+    return FilterSpec(
+        kind, draw(st.integers(1, 8)), rate,
+        low_hz=None if kind is FilterKind.LOWPASS else low * nyq,
+        high_hz=None if kind is FilterKind.HIGHPASS else high * nyq,
+    )
+
+
+@st.composite
+def fractions(draw):
+    a = draw(st.integers(1, 18))
+    b = draw(st.integers(1, 19 - a))
+    return (a / 20.0, b / 20.0, (20 - a - b) / 20.0)
+
+
+@st.composite
+def grid_specs(draw):
+    rate = draw(st.sampled_from(RATES))
+    positive = st.floats(1e-6, 1e3, allow_nan=False)
+    names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1,
+                          max_size=3, unique=True))
+    spec = audit.GridSpec(
+        classifiers=tuple(draw(st.lists(
+            st.sampled_from(audit.CLASSIFIERS), min_size=1, unique=True,
+        ))),
+        windows_ms=tuple(draw(st.lists(positive, min_size=1, max_size=3,
+                                       unique=True))),
+        channel_counts=tuple(draw(st.lists(st.integers(0, 128), min_size=1,
+                                           max_size=3, unique=True))),
+        splits=tuple(
+            audit.SplitSpec(regime, draw(fractions()))
+            for regime in draw(st.lists(st.sampled_from(sp.REGIMES),
+                                        min_size=1, unique=True))
+        ),
+        filter_configs=tuple(
+            audit.FilterConfig(
+                name,
+                tuple(draw(st.lists(filter_specs(rate), max_size=2))),
+                draw(st.sampled_from(dsp.ZSCORE_SCOPES)),
+            )
+            for name in names
+        ),
+        seed=draw(st.integers(0, 2**31)),
+        start_offset_ms=draw(st.floats(0.0, 500.0)),
+        knn_k=draw(st.integers(1, 64)),
+        svm_l2=draw(st.floats(0.0, 1.0)),
+        mlp_hidden=draw(st.integers(1, 512)),
+        train_config=TrainConfig(
+            epochs=draw(st.integers(1, 100)),
+            batch_size=draw(st.integers(1, 256)),
+            learning_rate=draw(positive),
+            momentum=draw(st.floats(0.0, 1.0)),
+            weight_decay=draw(st.floats(0.0, 1.0)),
+        ),
+        cnn_kernels=draw(st.integers(1, 16)),
+        cnn_kernel_len=draw(st.integers(1, 64)),
+        cnn_pool_len=draw(st.integers(1, 256)),
+        cnn_pool_stride=draw(st.integers(1, 128)),
+    )
+    return spec, rate
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_specs())
+def test_grid_config_round_trips_through_json(spec_and_rate):
+    spec, rate = spec_and_rate
+    grid = json.loads(json.dumps(grid_config(spec)))
+    # what a manifest records is a valid config that builds the same grid
+    validate_config("audit", {"schema_version": 1, "inputs": ["x"],
+                              "out": "y", "grid": grid})
+    assert build_grid_spec(grid, rate, spec.seed) == spec
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_defaults_validate(command):
+    schema = SCHEMAS[command]
+    config = dict(DEFAULTS[command])
+    for key in schema["required"]:
+        if key not in config:
+            array = schema["properties"][key].get("type") == "array"
+            config[key] = ["x"] if array else "x"
+    validate_config(command, config)
+
+
+def _leaves(node, path=()):
+    """(path, value) of every leaf; a list of objects is walked entry by
+    entry, any other list is one leaf."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list) and node and all(isinstance(v, dict) for v in node):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def _at(node, path):
+    for part in path:
+        node = node[part]
+    return node
+
+
+def test_default_grid_keeps_only_the_audits_own_choices():
+    grid = DEFAULTS["audit"]["grid"]
+    resolved = grid_config(build_grid_spec(grid, 1024.0, seed=0))
+    library = grid_config(audit.GridSpec())
+    for path, value in _leaves(grid):
+        assert _at(resolved, path) == value, path
+        if path[-1] == "regime":
+            continue  # names the split entry that its position pairs
+        try:
+            other = _at(library, path)
+        except (KeyError, IndexError):
+            continue
+        assert value != other, f"{'/'.join(map(str, path))} repeats {other!r}"

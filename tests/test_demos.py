@@ -1,5 +1,7 @@
-"""Smoke test: every documented demo script runs to completion."""
+"""Smoke test: every documented demo script runs to completion, and the
+README's library quick start prints what it says it prints."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,17 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_prints_its_verdict(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    # the block's print line carries its expected output as a comment
+    expected = re.search(r"^print\(.*\)\s+# (.+)$", block, re.M).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == [expected]
