@@ -107,9 +107,9 @@ class GridSpec:
     cnn_pool_stride: int = 64
 
     def __post_init__(self):
-        known = set(CLASSIFIERS)
-        if set(self.classifiers) - known or not self.classifiers:
-            raise ValueError(f"classifiers must be a non-empty subset of {known}")
+        if set(self.classifiers) - set(CLASSIFIERS) or not self.classifiers:
+            raise ValueError(
+                f"classifiers must be a non-empty subset of {CLASSIFIERS}")
         if self.knn_k < 1:
             raise ValueError(f"knn_k={self.knn_k!r} must be >= 1")
         if not self.windows_ms or not self.channel_counts or not self.splits:

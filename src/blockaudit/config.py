@@ -345,6 +345,14 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+# one validator per command, built once: a call checks the config against
+# its schema, not the schema against the metaschema
+_VALIDATORS = {
+    command: jsonschema.validators.validator_for(schema)(schema)
+    for command, schema in SCHEMAS.items()
+}
+
+
 class ConfigError(ValueError):
     """Configuration failed schema validation or file loading."""
 
@@ -393,9 +401,8 @@ def validate_config(command: str, config: dict) -> None:
     bad = next(_non_finite_paths(config), None)
     if bad is not None:
         raise ConfigError(f"invalid {command} config at {bad}: not a finite number")
-    try:
-        jsonschema.validate(config, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(config))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"invalid {command} config at {path}: {exc.message}")
 

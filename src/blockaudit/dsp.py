@@ -7,6 +7,9 @@ session is filtered one channel per task on up to 2 threads; every channel
 is filtered on its own, so the output is bit-identical to a serial pass.
 
 The convention throughout is population (divide-by-n) standard deviation.
+The z-score statistics accumulate in float64 a few trials at a time, and
+the Welch spectrum promotes one segment at a time, so neither makes a
+float64 copy of the trials or the session.
 """
 from __future__ import annotations
 
@@ -243,6 +246,30 @@ def rereference(session: Session, reference_channels: list[int]) -> Session:
 
 ZSCORE_SCOPES = ("train_statistics", "per_trial_channel")
 
+# bytes of float64 deviations held at once while taking a z-score's variance
+_CHUNK_BYTES = 2**19
+
+
+def _mean_std(part: np.ndarray, per_trial: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 mean and population std of ``part``, per trial and channel or
+    per channel over all rows.  The std is two-pass, so it does not cancel
+    on DC offsets; its squared deviations are taken a few trials at a time
+    in one reused float64 buffer of at most ``_CHUNK_BYTES``."""
+    mean = part.mean(axis=2 if per_trial else (0, 2), keepdims=True,
+                     dtype=np.float64)
+    row_mean = np.broadcast_to(mean, part.shape[:2] + (1,))
+    step = max(1, _CHUNK_BYTES // (part[0].size * 8))
+    buf = np.empty((min(step, len(part)),) + part.shape[1:])
+    sq = np.empty(row_mean.shape)
+    for s in range(0, len(part), step):
+        chunk = part[s:s + step]
+        d = np.subtract(chunk, row_mean[s:s + step], out=buf[:len(chunk)])
+        d *= d
+        d.sum(axis=2, keepdims=True, out=sq[s:s + step])
+    if not per_trial:
+        sq = sq.sum(axis=0, keepdims=True)
+    return mean, np.sqrt(sq / (part.size // mean.size))
+
 
 def zscore(
     trials: TrialMatrix,
@@ -260,25 +287,28 @@ def zscore(
     train and the test rows alike, which is the leakage-safe scope for
     split-based evaluation.  Only those rows are normalized: each set is
     gathered once and normalized in place, and rows in neither set (a
-    split's validation share, say) are never read.  ``train`` defaults to
-    every row, except under ``train_statistics``; without ``test`` the
-    second result is None.  A zero std maps its values to zeros and raises a
-    :class:`ConstantChannelWarning` instead of dividing by zero.  Float32
-    and float64 trials keep their dtype; any other dtype (integer trials,
-    say) is gathered as float64.
+    split's validation share, say) are never read.  The statistics
+    accumulate in float64 a few trials at a time, so no float64 copy of the
+    trials is made; normalization stays in the data dtype.  ``train``
+    defaults to every row, except under ``train_statistics``; without
+    ``test`` the second result is None.  A zero std maps its values to zeros
+    and raises a :class:`ConstantChannelWarning` instead of dividing by
+    zero.  Float32 and float64 trials keep their dtype; any other dtype
+    (integer trials, say) is gathered as float64.
     """
     if trials.num_trials == 0:
         raise ValueError("empty trial matrix")
     if scope not in ZSCORE_SCOPES:
         raise ValueError(f"unknown zscore scope {scope!r}")
-    if scope == "per_trial_channel":
-        axes, what = 2, "trial-channel(s)"
+    per_trial = scope == "per_trial_channel"
+    if per_trial:
+        what = "trial-channel(s)"
         if train is None:
             train = np.arange(trials.num_trials)
     else:
         if train is None:
             raise ValueError("train_statistics scope needs train rows")
-        axes, what = (0, 2), "channel(s) in the training statistics"
+        what = "channel(s) in the training statistics"
     rows = [np.asarray(r, dtype=np.int64) for r in (train, test) if r is not None]
     if rows[0].size == 0:
         raise ValueError("train rows are empty")
@@ -288,17 +318,15 @@ def zscore(
     constant = 0
     for i, idx in enumerate(rows):
         part = x.take(idx, axis=0).astype(dtype, copy=False)
-        if i == 0 or scope == "per_trial_channel":
-            # statistics accumulate in float64 (two-pass std, which does not
-            # cancel on DC offsets); normalization stays in the data dtype
-            mean = part.mean(axis=axes, keepdims=True, dtype=np.float64)
-            std = part.std(axis=axes, keepdims=True, dtype=np.float64)
+        if i == 0 or per_trial:
+            mean, std = _mean_std(part, per_trial)
             degenerate = std == 0.0
             constant += int(degenerate.sum())
+        # normalization stays in the data dtype, in place
         part -= mean.astype(dtype)
         part /= np.where(degenerate, 1.0, std).astype(dtype)
         if degenerate.any():
-            part[np.broadcast_to(degenerate, part.shape)] = 0.0
+            np.copyto(part, 0.0, where=degenerate)
         out.append(trials.take(idx, trials=part))
     if constant:
         warnings.warn(
@@ -378,7 +406,9 @@ def power_spectrum(
     nbins = nperseg // 2 + 1
     acc = np.zeros((x.shape[0], nbins), dtype=np.float64)
     count = 0
-    for seg in _welch_segments(x.astype(np.float64, copy=False), nperseg, hop):
+    for seg in _welch_segments(x, nperseg, hop):
+        # the float64 window promotes each segment exactly, so no float64
+        # copy of the whole session is made
         spec = np.fft.rfft(seg * window, axis=-1)
         p = (spec.real**2 + spec.imag**2) / (nperseg * win_power)
         # one-sided: double everything except DC (and Nyquist when even)

@@ -300,6 +300,14 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=f"grid axis {axis} repeats {shown}"):
             replace(small_spec(256.0), **{axis: values})
 
+    @pytest.mark.parametrize("classifiers", [("lda",), (), ("knn", "lda")])
+    def test_unknown_classifier_message_lists_them_in_order(self, classifiers):
+        # a set here printed its names in a PYTHONHASHSEED-dependent order
+        with pytest.raises(ValueError) as exc:
+            replace(small_spec(256.0), classifiers=classifiers)
+        assert str(exc.value) == ("classifiers must be a non-empty subset of "
+                                  "('knn', 'svm', 'mlp', 'cnn1d')")
+
     @pytest.mark.parametrize("axis, values, shown", [
         ("channel_counts", (0, -3), "-3"),
         ("windows_ms", (440.0, 0.0), "0.0"),

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -437,6 +440,30 @@ class TestAudit:
         grid = json.loads((out / "grid.json").read_text())
         cell = grid["cells"][0]
         assert cell["n_test"] == 160  # both subjects held out once
+
+
+def test_reports_identical_under_one_and_two_blas_threads(session_dir, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockaudit.cli", "audit",
+             "--input", str(session_dir / "s01_block.baud"), "--out", str(out),
+             "--relabel", "--highpass-cutoffs", "14,5"],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        reports[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    one, two = reports["1"], reports["2"]
+    assert sorted(one) == sorted(two) and len(one) == 8
+    for name in sorted(set(one) - {"manifest.json"}):
+        assert one[name] == two[name], name
+    manifests = [json.loads(r["manifest.json"]) for r in (one, two)]
+    assert [m["config"].pop("out") for m in manifests] == [
+        str(tmp_path / "blas1"), str(tmp_path / "blas2")]
+    assert manifests[0] == manifests[1]
 
 
 class TestCodebookCommand:

@@ -1,6 +1,7 @@
 """Config defaults and the grid's config round trip."""
 import json
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from blockaudit import audit, dsp, splits as sp
 from blockaudit.classifiers import TrainConfig
 from blockaudit.config import (
     DEFAULTS,
+    ConfigError,
     SCHEMAS,
     build_grid_spec,
     grid_config,
@@ -141,3 +143,31 @@ def test_default_grid_keeps_only_the_audits_own_choices():
         except (KeyError, IndexError):
             continue
         assert value != other, f"{'/'.join(map(str, path))} repeats {other!r}"
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_every_schema_is_valid(command):
+    # validate_config no longer checks the schema on each call
+    schema = SCHEMAS[command]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("synth", {"schema_version": 1, "out": "x", "bogus": 1}),
+    ("synth", {"schema_version": 99, "out": "x"}),
+    ("synth", {"schema_version": 1}),
+    ("audit", {"schema_version": 1, "inputs": ["x"], "out": "y",
+               "grid": {"splits": [{"regime": "nope"}]}}),
+    ("audit", {"schema_version": 1, "inputs": ["x"], "out": "y",
+               "grid": {"windows_ms": [440.0, -1.0], "knn_k": "7"}}),
+    ("audit", {"schema_version": 1, "inputs": "x", "out": 3}),
+], ids=["unknown_key", "schema_version", "missing_key", "bad_enum",
+        "two_errors", "wrong_types"])
+def test_error_text_is_jsonschemas_best_match(command, config):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(config, SCHEMAS[command])
+    exc = expected.value
+    path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+    with pytest.raises(ConfigError) as got:
+        validate_config(command, config)
+    assert str(got.value) == f"invalid {command} config at {path}: {exc.message}"

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from blockaudit import (
     vlf_fraction,
     zscore,
 )
+from blockaudit import dsp
 from blockaudit.dsp import ConstantChannelWarning
 
 from conftest import make_session
@@ -353,12 +355,105 @@ class TestZscore:
         assert np.array_equal(out_train.trials, expected[train])
         assert np.array_equal(out_test.trials, expected[test])
 
+    @pytest.mark.parametrize("scope, axes", [
+        ("per_trial_channel", 2), ("train_statistics", (0, 2)),
+    ])
+    def test_float32_across_chunks_equals_the_formula_bit_for_bit(
+        self, scope, axes
+    ):
+        # 4 rows per chunk: 11 train rows span chunks of 4, 4 and 3
+        channels = 3
+        samples = dsp._CHUNK_BYTES // (4 * channels * 8)
+        rng = np.random.default_rng(11)
+        x = (rng.standard_normal((14, channels, samples)) * 2.0 + 5.0
+             ).astype(np.float32)
+        train, test = np.arange(11)[::-1], np.array([13, 11, 12])
+        assert len(train) > 2 * (dsp._CHUNK_BYTES // (x[0].size * 8))
+        out_train, out_test = zscore(_matrix(x).replace(trials=x), scope, train, test)
+        expected = _formula(x, scope, axes, train)
+        assert np.array_equal(out_train.trials, expected[train])
+        assert np.array_equal(out_test.trials, expected[test])
+
+    @pytest.mark.parametrize("scope, axes", [
+        ("per_trial_channel", 2), ("train_statistics", (0, 2)),
+    ])
+    @pytest.mark.parametrize("rows, rows_per_chunk", [
+        (7, 3), (1, 3), (5, 0.5),
+    ], ids=["uneven", "single_row", "row_larger_than_budget"])
+    def test_chunk_edges_equal_the_formula(
+        self, monkeypatch, scope, axes, rows, rows_per_chunk
+    ):
+        rng = np.random.default_rng(12)
+        x = (rng.standard_normal((rows + 2, 2, 48)) * 3.0 - 4.0).astype(np.float32)
+        monkeypatch.setattr(dsp, "_CHUNK_BYTES", int(rows_per_chunk * 2 * 48 * 8))
+        train, test = np.arange(rows), np.arange(rows, rows + 2)
+        out_train, out_test = zscore(_matrix(x).replace(trials=x), scope, train, test)
+        expected = _formula(x, scope, axes, train)
+        assert np.array_equal(out_train.trials, expected[train])
+        assert np.array_equal(out_test.trials, expected[test])
+        # float64 statistics may differ from numpy's in their last bits only
+        x64 = x.astype(np.float64)
+        train64, test64 = zscore(_matrix(x64), scope, train, test)
+        expected64 = _formula(x64, scope, axes, train)
+        np.testing.assert_allclose(train64.trials, expected64[train], rtol=1e-12,
+                                   atol=1e-12)
+        np.testing.assert_allclose(test64.trials, expected64[test], rtol=1e-12,
+                                   atol=1e-12)
+
+    def test_trial_channel_constant_in_a_later_chunk_zeroed_with_warning(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(dsp, "_CHUNK_BYTES", 2 * 3 * 16 * 8)  # 2 rows
+        x = np.random.default_rng(13).standard_normal((7, 3, 16))
+        x[5, 1] = -2.0  # third chunk
+        with pytest.warns(ConstantChannelWarning, match="^1 constant trial-channel"):
+            out, _ = zscore(_matrix(x), "per_trial_channel")
+        np.testing.assert_array_equal(out.trials[5, 1], 0.0)
+        mask = np.ones(x.shape, bool)
+        mask[5, 1] = False
+        assert np.all(out.trials[mask] != 0.0)
+
+    def test_train_constant_channel_zeroed_in_every_chunk(self, monkeypatch):
+        monkeypatch.setattr(dsp, "_CHUNK_BYTES", 2 * 2 * 16 * 8)  # 2 rows
+        x = np.random.default_rng(14).standard_normal((12, 2, 16))
+        x[:5, 1] = 3.0  # constant over the 5 training rows only
+        with pytest.warns(ConstantChannelWarning,
+                          match="^1 constant channel.s. in the training"):
+            train, test = zscore(_matrix(x), "train_statistics",
+                                 np.arange(5), np.arange(5, 12))
+        np.testing.assert_array_equal(train.trials[:, 1], 0.0)
+        np.testing.assert_array_equal(test.trials[:, 1], 0.0)
+        assert np.all(train.trials[:, 0] != 0.0)
+        assert np.all(test.trials[:, 0] != 0.0)
+
+    def test_float32_peak_memory_is_the_outputs_plus_one_chunk(self):
+        x = np.random.default_rng(15).standard_normal((64, 16, 512)).astype(np.float32)
+        tm = _matrix(x).replace(trials=x)
+        train, test = np.arange(48), np.arange(48, 64)
+        tracemalloc.start()
+        try:
+            zscore(tm, "train_statistics", train, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the 48 train rows alone would be 3 MiB
+        assert peak < x.nbytes + dsp._CHUNK_BYTES
+
     def test_train_statistics_requires_indices(self):
         tm = _matrix(np.zeros((2, 1, 4)))
         with pytest.raises(ValueError, match="train rows"):
             zscore(tm, "train_statistics")
         with pytest.raises(ValueError, match="train rows are empty"):
             zscore(tm, "train_statistics", [])
+
+
+def _formula(x, scope, axes, train):
+    """Every row of ``x`` z-scored by numpy's float64 mean and std, then
+    normalized in the dtype of ``x``."""
+    fit = x[train] if scope == "train_statistics" else x
+    mean = fit.mean(axis=axes, keepdims=True, dtype=np.float64)
+    std = fit.std(axis=axes, keepdims=True, dtype=np.float64)
+    return (x - mean.astype(x.dtype)) / std.astype(x.dtype)
 
 
 def _matrix(trials):
@@ -409,6 +504,26 @@ class TestPowerSpectrum:
     def test_zero_signal(self):
         spec = power_spectrum(np.zeros((1, 512)), 128, 0.5, sample_rate=100.0)
         np.testing.assert_array_equal(spec.power, 0.0)
+
+    def test_float32_equals_its_float64_cast_bit_for_bit(self):
+        session = make_session(channels=3, total=5000, seed=16)
+        x = session.samples
+        assert x.dtype == np.float32
+        spec32 = power_spectrum(session, 512, 0.5)
+        spec64 = power_spectrum(x.astype(np.float64), 512, 0.5,
+                                sample_rate=session.sample_rate)
+        assert np.array_equal(spec32.power, spec64.power)
+        assert np.array_equal(spec32.freqs, spec64.freqs)
+
+    def test_peak_memory_below_a_float64_copy_of_the_session(self):
+        x = np.random.default_rng(17).standard_normal((16, 65536)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            power_spectrum(x, 1024, 0.5, sample_rate=256.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes
 
     def test_segment_too_long(self):
         with pytest.raises(ValueError, match="exceeds"):
