@@ -1,10 +1,14 @@
 """Filtering, resampling, rereferencing, normalization, and spectra.
 
 Filters are Butterworth designs with the -3.01 dB points on the cutoffs,
-held as second-order-section (SOS) arrays.  ``scipy.signal`` both designs
-them (``butter``) and applies them (``sosfilt``/``sosfiltfilt``).  A whole
-session is filtered one channel per task on up to 2 threads; every channel
-is filtered on its own, so the output is bit-identical to a serial pass.
+held as second-order-section (SOS) arrays that ``scipy.signal.butter``
+designs.  They run on scipy's compiled SOS kernel, the private
+``scipy.signal._sosfilt._sosfilt`` that ``sosfilt`` calls after copying its
+input.  It filters in place, so each filter thread pads and filters every
+row it handles in one reused float64 buffer.  Rows are filtered one channel
+per task on up to 2 threads, and the output is bit-identical to
+``sosfiltfilt``/``sosfilt`` row by row; the tests check that, which guards
+the private import.
 
 The convention throughout is population (divide-by-n) standard deviation.
 The z-score statistics accumulate in float64 a few trials at a time, and
@@ -14,6 +18,7 @@ float64 copy of the trials or the session.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,6 +26,8 @@ from enum import Enum
 
 import numpy as np
 from scipy import signal as _signal
+# filters a C-contiguous (rows, T) float64 array in place, without the GIL
+from scipy.signal._sosfilt import _sosfilt as _sos_kernel
 
 from .dataset import Session, TrialEvent, TrialMatrix
 
@@ -120,28 +127,53 @@ def frequency_response(
 # Application
 # ---------------------------------------------------------------------------
 
-def _filter_array(
-    sos: np.ndarray, x: np.ndarray, mode: str, out_dtype=None
-) -> np.ndarray:
-    if x.shape[-1] == 0:
-        raise ValueError("cannot filter empty input")
-    if mode == "causal":
-        y = _signal.sosfilt(sos, x.astype(np.float64, copy=False), axis=-1)
-    elif mode == "zero_phase":
-        padlen = min(3 * (2 * len(sos) + 1), x.shape[-1] - 1)
-        y = _signal.sosfiltfilt(
-            sos, x.astype(np.float64, copy=False), axis=-1, padlen=padlen
-        )
-    else:
-        raise ValueError(f"unknown filter mode {mode!r}")
-    return y.astype(out_dtype or x.dtype, copy=False)
-
-
 def _filter_threads() -> int:
     """Up to 2 threads, never more than the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return min(2, len(os.sched_getaffinity(0)))
     return min(2, os.cpu_count() or 1)
+
+
+def _filter_rows(sos: np.ndarray, rows: np.ndarray, out: np.ndarray,
+                 mode: str) -> None:
+    """Filter each row of the (rows, T) ``rows`` into the same row of ``out``
+    by ``sosfiltfilt``'s recipe (``sosfilt``'s when causal): odd extension,
+    and each pass's steady-state initial conditions scaled by its first
+    sample.  Each thread reuses one padded row and one reversal row."""
+    num_samples = rows.shape[-1]
+    n = len(sos)
+    zero_phase = mode == "zero_phase"
+    pad = min(3 * (2 * n + 1), num_samples - 1) if zero_phase else 0
+    zi = _signal.sosfilt_zi(sos).reshape(1, n, 2) if zero_phase else None
+    length = num_samples + 2 * pad
+    local = threading.local()
+
+    def filter_row(r: int) -> None:
+        if not hasattr(local, "bufs"):
+            local.bufs = np.empty((2, 1, length))
+        ext, rev = local.bufs
+        row = ext[0]
+        row[pad:pad + num_samples] = rows[r]
+        if pad:
+            # odd extension: 2 x[0] - x[pad:0:-1] and 2 x[-1] - x[-2:-pad-2:-1]
+            np.subtract(2 * row[pad], row[2 * pad:pad:-1], out=row[:pad])
+            np.subtract(2 * row[pad + num_samples - 1],
+                        row[pad + num_samples - 2:num_samples - 2:-1],
+                        out=row[pad + num_samples:])
+        # the kernel updates its (1, n, 2) state in place, so each pass
+        # gets a fresh one; a causal pass starts at rest, as sosfilt does
+        if not zero_phase:
+            _sos_kernel(sos, ext, np.zeros((1, n, 2)))
+            out[r] = row
+            return
+        _sos_kernel(sos, ext, zi * row[0])
+        rev[0] = row[::-1]
+        _sos_kernel(sos, rev, zi * row[-1])
+        out[r] = rev[0, pad:pad + num_samples][::-1]
+
+    with ThreadPoolExecutor(max_workers=_filter_threads()) as pool:
+        # list() reads every result, so a worker's exception is raised
+        list(pool.map(filter_row, range(len(rows))))
 
 
 def apply_filter(
@@ -151,34 +183,48 @@ def apply_filter(
 ):
     """Filter per channel along time.
 
-    ``mode="causal"`` is a single forward pass; ``mode="zero_phase"`` runs
-    forward then time-reversed (zero group delay, squared magnitude).
+    ``mode="causal"`` is a single forward pass (``sosfilt``);
+    ``mode="zero_phase"`` runs forward then time-reversed (``sosfiltfilt``
+    with ``padlen=min(3(2n+1), T-1)``: zero group delay, squared magnitude).
     Accepts a Session or a bare (..., T) array and returns the same
-    shape/type.  The audit grid filters whole sessions zero-phase, before
-    they are cut into trials, so no trial edge adds a filter transient.
+    shape/type.  A bare float32 or float64 array keeps its dtype; any other
+    dtype (integers, say) comes back as float64.  The audit grid filters
+    whole sessions zero-phase, before they are cut into trials, so no trial
+    edge adds a filter transient.
 
-    A Session is filtered one channel per task on up to 2 threads (fewer
-    when fewer CPUs are usable), each task writing its own row of the
-    output; ``sosfiltfilt`` releases the GIL, and the output is
-    bit-identical to filtering the channels one after another.
+    Each channel (each row of a bare array) is one task on up to 2 threads
+    (fewer when fewer CPUs are usable).  The passes run in float64 on scipy's
+    SOS kernel (see the module docstring), in place in one reused padded
+    row per thread; the output is bit-identical to ``sosfiltfilt``/
+    ``sosfilt`` on each row, cast to the output dtype.  A bad ``sos``, an
+    unknown mode or an empty input raises ``ValueError`` before any thread
+    starts.
     """
-    if isinstance(data, Session):
-        out = np.empty_like(data.samples)
-
-        def filter_row(ch: int) -> None:
-            # one float64 row at a time bounds the temporaries' memory
-            out[ch] = _filter_array(sos, data.samples[ch], mode, np.float32)
-
-        with ThreadPoolExecutor(max_workers=_filter_threads()) as pool:
-            # list() reads every result, so a worker's exception is raised
-            list(pool.map(filter_row, range(data.channels)))
-        return Session(
-            samples=out,
-            sample_rate=data.sample_rate,
-            subject_id=data.subject_id,
-            events=data.events,
-        )
-    return _filter_array(sos, np.asarray(data), mode)
+    if mode not in ("causal", "zero_phase"):
+        raise ValueError(f"unknown filter mode {mode!r}")
+    # checked as sosfilt checks it; the kernel needs it C-contiguous
+    sos = np.ascontiguousarray(np.atleast_2d(np.asarray(sos, dtype=np.float64)))
+    if sos.ndim != 2 or sos.shape[1] != 6:
+        raise ValueError("sos array must be shape (n_sections, 6)")
+    if not np.all(sos[:, 3] == 1):
+        raise ValueError("sos[:, 3] should be all ones")
+    x = data.samples if isinstance(data, Session) else np.asarray(data)
+    if x.size == 0:
+        raise ValueError("cannot filter empty input")
+    if x.ndim == 0:
+        raise ValueError("cannot filter a 0-d input")
+    dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty(rows.shape, dtype)
+    _filter_rows(sos, rows, out, mode)
+    if not isinstance(data, Session):
+        return out.reshape(x.shape)
+    return Session(
+        samples=out,
+        sample_rate=data.sample_rate,
+        subject_id=data.subject_id,
+        events=data.events,
+    )
 
 
 def downsample(session: Session, factor: int) -> Session:
@@ -221,7 +267,10 @@ def downsample(session: Session, factor: int) -> Session:
 
 
 def rereference(session: Session, reference_channels: list[int]) -> Session:
-    """Subtract the mean of the reference channels and drop them."""
+    """Subtract the mean of the reference channels and drop them.
+
+    The float64 reference is subtracted from one kept channel at a time, so
+    no float64 copy of the session is made."""
     refs = sorted(set(int(c) for c in reference_channels))
     if not refs:
         raise ValueError("reference channel list is empty")
@@ -230,8 +279,11 @@ def rereference(session: Session, reference_channels: list[int]) -> Session:
     if len(refs) == session.channels:
         raise ValueError("cannot reference away every channel")
     ref_signal = session.samples[refs].mean(axis=0, dtype=np.float64)
-    keep = [c for c in range(session.channels) if c not in set(refs)]
-    out = (session.samples[keep].astype(np.float64) - ref_signal).astype(np.float32)
+    keep = sorted(set(range(session.channels)) - set(refs))
+    out = np.empty((len(keep), session.num_samples), dtype=np.float32)
+    for row, ch in zip(out, keep):
+        # a float64 difference, rounded once to float32 as it is stored
+        np.subtract(session.samples[ch], ref_signal, out=row, casting="unsafe")
     return Session(
         samples=out,
         sample_rate=session.sample_rate,

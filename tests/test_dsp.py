@@ -161,10 +161,41 @@ class TestApply:
         cascade = design_filter(FilterSpec.lowpass(50.0, FS, 2))
         with pytest.raises(ValueError, match="empty"):
             apply_filter(cascade, np.zeros((2, 0)))
-        # raised in a filter thread, re-raised to the caller
         empty = make_session(channels=3, total=0, rate=FS, events=())
         with pytest.raises(ValueError, match="empty"):
             apply_filter(cascade, empty)
+
+    def test_bad_input_rejected_before_any_thread_starts(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a filter thread pool was started")
+
+        monkeypatch.setattr(dsp, "ThreadPoolExecutor", no_threads)
+        sos = design_filter(FilterSpec.lowpass(50.0, FS, 2))
+        session = make_session(channels=3, total=256, rate=FS, events=())
+        bad_shape = sos[:, :5]
+        bad_a0 = sos.copy()
+        bad_a0[0, 3] = 2.0
+        for data in (session, session.samples):
+            with pytest.raises(ValueError, match=r"shape \(n_sections, 6\)"):
+                apply_filter(bad_shape, data)
+            with pytest.raises(ValueError, match="all ones"):
+                apply_filter(bad_a0, data)
+            with pytest.raises(ValueError, match="unknown filter mode"):
+                apply_filter(sos, data, "acausal")
+        with pytest.raises(ValueError, match="empty"):
+            apply_filter(sos, np.zeros((0, 256)))
+        with pytest.raises(ValueError, match="0-d"):
+            apply_filter(sos, np.float64(1.0))
+
+    def test_integer_input_returns_float64(self):
+        sos = design_filter(FilterSpec.highpass(5.0, 100.0, 2))
+        x = np.arange(40) % 7
+        for mode in ("causal", "zero_phase"):
+            y = apply_filter(sos, x, mode)
+            assert y.dtype == np.float64
+            assert np.array_equal(y, apply_filter(sos, x.astype(np.float64), mode))
+            # a cast back to the integer input dtype would truncate them
+            assert not np.array_equal(y, np.trunc(y))
 
     @pytest.mark.parametrize("mode", ["causal", "zero_phase"])
     def test_session_equals_per_row_scipy_bit_for_bit(self, mode):
@@ -187,8 +218,34 @@ class TestApply:
                 y = sp_signal.sosfiltfilt(sos, row, padlen=3 * (2 * len(sos) + 1))
             assert np.array_equal(out[ch], y.astype(np.float32)), ch
         # and equal to filtering the whole (channels, T) stack in one call
-        whole = apply_filter(sos, session.samples, mode).astype(np.float32)
+        whole = apply_filter(sos, session.samples, mode)
+        assert whole.dtype == np.float32
         assert np.array_equal(out, whole)
+
+    @pytest.mark.parametrize("order", [1, 2, 8])
+    @pytest.mark.parametrize("kind", list(FilterKind))
+    def test_every_kind_order_and_length_equals_scipy_bit_for_bit(
+        self, kind, order
+    ):
+        # order 8 is downsample's anti-alias guard; T = 1 has no padding,
+        # and every T <= 3(2n+1) pads by T - 1 samples
+        spec = FilterSpec(kind, order, FS, low_hz=14.0, high_hz=71.0)
+        sos = design_filter(spec)
+        full_pad = 3 * (2 * len(sos) + 1)
+        rng = np.random.default_rng(order)
+        for total in (1, 2, 5, full_pad, full_pad + 1, 700):
+            x = rng.standard_normal((2, 3, total)) * 40.0 + 7.0
+            for mode in ("causal", "zero_phase"):
+                out = apply_filter(sos, x, mode)
+                assert out.shape == x.shape and out.dtype == np.float64
+                for idx in np.ndindex(x.shape[:-1]):
+                    if mode == "causal":
+                        y = sp_signal.sosfilt(sos, x[idx])
+                    else:
+                        y = sp_signal.sosfiltfilt(
+                            sos, x[idx], padlen=min(full_pad, total - 1)
+                        )
+                    assert np.array_equal(out[idx], y), (total, mode, idx)
 
 
 class TestDownsample:
@@ -254,6 +311,30 @@ class TestRereference:
         np.testing.assert_allclose(
             out.samples[0], data[0] - (data[1] + data[2]) / 2.0, atol=1e-6
         )
+
+    def test_equals_the_float64_formula_bit_for_bit(self):
+        data = (np.random.default_rng(4).standard_normal((6, 500)) * 30.0
+                + 5.0).astype(np.float32)
+        session = type(make_session())(samples=data, sample_rate=100.0,
+                                       subject_id="s", events=())
+        out = rereference(session, [4, 1])
+        ref = data[[1, 4]].mean(axis=0, dtype=np.float64)
+        expected = (data[[0, 2, 3, 5]].astype(np.float64) - ref).astype(np.float32)
+        assert out.samples.dtype == np.float32
+        assert np.array_equal(out.samples, expected)
+
+    def test_peak_memory_is_the_output_plus_a_few_float64_rows(self):
+        x = np.random.default_rng(6).standard_normal((16, 65536)).astype(np.float32)
+        session = type(make_session())(samples=x, sample_rate=256.0,
+                                       subject_id="s", events=())
+        tracemalloc.start()
+        try:
+            out = rereference(session, [0, 9])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the 14 kept channels alone would be 7 MiB
+        assert peak < out.samples.nbytes + 4 * x.shape[1] * 8
 
     def test_errors(self, tiny_session):
         with pytest.raises(ValueError, match="empty"):
