@@ -8,10 +8,13 @@ read, and the exact matrix each model is fitted on, are checked against the
 plan's test trial ids; an overlap raises :class:`LeakageError`.  Every cell
 goes through one preprocessing order: filter the whole session zero-phase,
 cut trials at the longest grid window, crop to the cell's window, z-score,
-rank channels by the Fisher score of their window means, fit.
-``relabel_analysis`` and ``highpass_ablation`` are the two follow-up probes;
-``issue_verdict`` turns the named results into one of CONTAMINATED /
-CLEAN_SIGNAL / NO_SIGNAL / INCONCLUSIVE.
+rank channels by the Fisher score of their window means, fit.  The split
+plans come first: ``check_grid`` builds them from the sessions' events alone,
+so a design the splits cannot serve fails before any sample is filtered.
+``relabel_analysis`` (the grid on sessions relabeled by block) and
+``highpass_ablation`` are the two follow-up probes; ``issue_verdict`` turns
+the named results into one of CONTAMINATED / CLEAN_SIGNAL / NO_SIGNAL /
+INCONCLUSIVE.
 
 Randomness is funneled through ``GridSpec.seed`` and expanded with
 ``numpy.random.SeedSequence`` keyed on the cell coordinate: splits depend on
@@ -256,23 +259,25 @@ def _filter_and_segment(
     return segment(session, spec.start_offset_ms, max(spec.windows_ms))
 
 
-def _pool(matrices: list[TrialMatrix], label_mode: str) -> TrialMatrix:
-    matrix = matrices[0] if len(matrices) == 1 else concat_trials(matrices)
-    return splits_mod.relabel_blocks(matrix) if label_mode == "block" else matrix
+def _sessions(data: Session | Sequence[Session]) -> list[Session]:
+    return [data] if isinstance(data, Session) else list(data)
 
 
 def check_grid(
-    data: Session | Sequence[Session],
-    spec: GridSpec,
-    label_mode: str = "stimulus",
-) -> None:
-    """Raise ValueError, before any sample is filtered, if the grid cannot
-    run on these sessions: a window (``start_offset_ms`` plus the longest
-    window) past the end of some event, a ``cnn1d`` kernel or pooling window
-    longer than the shortest window allows, or a split regime the trial
-    design cannot satisfy (too few blocks per class, trials per block or
-    subjects)."""
-    sessions = [data] if isinstance(data, Session) else list(data)
+    data: Session | Sequence[Session], spec: GridSpec
+) -> list[list[splits_mod.SplitPlan]]:
+    """The split plans of every regime of ``spec``, in order, built from the
+    sessions' events alone.
+
+    Raises ValueError, before any sample is filtered, if the grid cannot
+    run on these sessions: a session without events, a window
+    (``start_offset_ms`` plus the longest window) past the end of some
+    event, a ``cnn1d`` kernel or pooling window longer than the shortest
+    window allows, or a split regime the trial design cannot satisfy (too
+    few blocks per class, trials per block or subjects, or blocks too small
+    to leave a test trial).  The plans are the ones :func:`run_grid` uses:
+    the split functions read only labels, block ids and subject ids."""
+    sessions = _sessions(data)
     for s in sessions:
         check_window(s, spec.start_offset_ms, max(spec.windows_ms))
     if "cnn1d" in spec.classifiers:
@@ -294,7 +299,7 @@ def check_grid(
             ) from None
     # each trial's label, block and subject as the grid's matrix carries
     # them, with an empty sample stack
-    design = _pool(
+    design = concat_trials(
         [
             TrialMatrix(
                 trials=np.empty((len(s.events), 0, 0), dtype=np.float32),
@@ -305,11 +310,12 @@ def check_grid(
                 sample_rate=s.sample_rate,
             )
             for s in sessions
-        ],
-        label_mode,
+        ]
     )
-    for split in spec.splits:
-        splits_mod.check_design(split.regime, design)
+    return [
+        _build_plans(design, split, _derive_seed(spec.seed, _SEED_SPLIT, si))
+        for si, split in enumerate(spec.splits)
+    ]
 
 
 def _build_plans(
@@ -490,24 +496,17 @@ def _evaluate_group(
     }
 
 
-def run_grid(
-    data: Session | Sequence[Session],
-    spec: GridSpec,
-    label_mode: str = "stimulus",
-) -> GridResult:
+def run_grid(data: Session | Sequence[Session], spec: GridSpec) -> GridResult:
     """Evaluate the full grid on a session (or pooled sessions).
 
-    ``label_mode="block"`` relabels trials by block before anything else
-    (the relabeling probe).  A grid that :func:`check_grid` rejects raises
-    before any filter runs; after that, cell failures are recorded in the
-    cell, never raised, and a leakage violation is always raised.
+    The split plans come from :func:`check_grid`, so a grid it rejects
+    raises before any filter runs; after that, cell failures are recorded
+    in the cell, never raised, and a leakage violation is always raised.
     """
-    if label_mode not in ("stimulus", "block"):
-        raise ValueError(f"unknown label_mode {label_mode!r}")
-    sessions = [data] if isinstance(data, Session) else list(data)
-    check_grid(sessions, spec, label_mode)
+    sessions = _sessions(data)
+    plans = check_grid(sessions, spec)
     bases = [
-        _pool([_filter_and_segment(s, fc, spec) for s in sessions], label_mode)
+        concat_trials([_filter_and_segment(s, fc, spec) for s in sessions])
         for fc in spec.filter_configs
     ]
     ref = bases[0]
@@ -518,10 +517,6 @@ def run_grid(
         ch or ref.channels: ci
         for ci, ch in enumerate(spec.channel_counts)
     }
-    plans = [
-        _build_plans(ref, split, _derive_seed(spec.seed, _SEED_SPLIT, si))
-        for si, split in enumerate(spec.splits)
-    ]
 
     cells = {}
     for (fi, fc), (si, split), (wi, w) in product(
@@ -558,15 +553,15 @@ def relabel_analysis(
     data: Session | Sequence[Session],
     spec: GridSpec,
 ) -> GridResult:
-    """Grid run with block-identity labels under within-block splits.
+    """Grid run on :func:`~blockaudit.splits.relabel_blocks`'s sessions,
+    under within-block splits.
 
     The probe of the relabeling test: on data whose stimulus classes are
     intermixed, high accuracy here means the classifier reads block state,
     not stimuli.
     """
-    sessions = [data] if isinstance(data, Session) else list(data)
-    n_blocks = sum(len(s.block_ids()) for s in sessions)
-    if n_blocks < 2:
+    sessions = splits_mod.relabel_blocks(_sessions(data))
+    if len({ev.class_label for s in sessions for ev in s.events}) < 2:
         raise ValueError("relabeling needs at least 2 blocks")
     forced = replace(
         spec,
@@ -575,7 +570,7 @@ def relabel_analysis(
         )
         or (SplitSpec(splits_mod.WITHIN_BLOCK),),
     )
-    return run_grid(data, forced, label_mode="block")
+    return run_grid(sessions, forced)
 
 
 @dataclass(frozen=True)
@@ -616,8 +611,7 @@ def highpass_ablation(
     Training seeds, splits, and crop offsets are shared with the baseline,
     so per-cell deltas isolate the effect of removing DC/VLF content.
     """
-    sessions = [data] if isinstance(data, Session) else list(data)
-    rate = sessions[0].sample_rate
+    rate = _sessions(data)[0].sample_rate
     check_cutoffs(cutoffs_hz, rate)
     baseline = run_grid(data, base_spec)
     by_cutoff = {}

@@ -217,9 +217,8 @@ def _cmd_audit(flags: dict) -> int:
         raise config_mod.ConfigError(
             f"invalid audit config at highpass_cutoffs_hz: {exc}"
         ) from exc
-    data = sessions[0] if len(sessions) == 1 else sessions
     try:
-        audit_mod.check_grid(data, spec)
+        audit_mod.check_grid(sessions, spec)
     except ValueError as exc:
         raise config_mod.ConfigError(f"invalid audit config at grid: {exc}") from exc
 
@@ -227,16 +226,16 @@ def _cmd_audit(flags: dict) -> int:
           f"{len(spec.windows_ms)} windows x {len(spec.channel_counts)} channel "
           f"counts x {len(spec.splits)} splits x {len(spec.filter_configs)} "
           f"filter configs")
-    main = audit_mod.run_grid(data, spec)
+    main = audit_mod.run_grid(sessions, spec)
 
     relabel_result = None
     if cfg["relabel"]:
-        relabel_result = audit_mod.relabel_analysis(data, spec)
+        relabel_result = audit_mod.relabel_analysis(sessions, spec)
 
     ablation = None
     if cfg["highpass_cutoffs_hz"]:
         ablation = audit_mod.highpass_ablation(
-            data, cfg["highpass_cutoffs_hz"], spec
+            sessions, cfg["highpass_cutoffs_hz"], spec
         )
 
     seg = min(cfg["spectrum"]["segment_samples"], sessions[0].num_samples)

@@ -51,6 +51,8 @@ class TrialEvent:
             raise ValueError(f"trial {self.trial_id}: length_samples must be > 0")
         if self.class_label < 0:
             raise ValueError(f"trial {self.trial_id}: class_label must be >= 0")
+        if self.block_id < 0:
+            raise ValueError(f"trial {self.trial_id}: block_id must be >= 0")
         if self.onset_sample < 0:
             raise ValueError(f"trial {self.trial_id}: onset_sample must be >= 0")
 
@@ -142,14 +144,6 @@ class Session:
     @property
     def duration_s(self) -> float:
         return self.num_samples / self.sample_rate
-
-    def block_ids(self) -> list[int]:
-        """Distinct block ids in onset order."""
-        out: list[int] = []
-        for ev in self.events:
-            if not out or ev.block_id != out[-1]:
-                out.append(ev.block_id)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +362,12 @@ def check_window(
     """``(offset, width)`` in samples of the window :func:`segment` cuts.
 
     Both are rounded against the session's rate.  Raises ValueError unless
-    the window fits inside every event, and so inside the recording.  It
-    reads the events only, never the samples.
+    the session has events and the window fits inside every one of them,
+    and so inside the recording.  It reads the events only, never the
+    samples.
     """
+    if not session.events:
+        raise ValueError("session has no events to segment")
     rate = session.sample_rate
     offset = int(round(start_offset_ms * rate / 1000.0))
     width = int(round(window_ms * rate / 1000.0))
@@ -399,8 +396,6 @@ def segment(
 
     Returns a matrix whose rows never alias session memory.
     """
-    if not session.events:
-        raise ValueError("session has no events to segment")
     offset, width = check_window(session, start_offset_ms, window_ms)
     n = len(session.events)
     trials = np.empty((n, session.channels, width), dtype=session.samples.dtype)
@@ -425,14 +420,17 @@ def segment(
 def concat_trials(matrices: Sequence[TrialMatrix]) -> TrialMatrix:
     """Pool trial matrices (e.g. multiple subjects) into one.
 
-    Channel counts, window widths, and sample rates must agree.  Trial
-    indices are re-based so they stay unique across the pooled matrix, and
-    block ids are offset per source matrix so blocks from different sessions
-    never collide.
+    A single matrix is returned as it is.  Otherwise channel counts, window
+    widths, and sample rates must agree; trial indices are re-based so they
+    stay unique across the pooled matrix, and each matrix's block ids are
+    offset by one more than the largest id before it, so blocks from
+    different sessions never collide (block ids are >= 0).
     """
     if not matrices:
         raise ValueError("nothing to concatenate")
     first = matrices[0]
+    if len(matrices) == 1:
+        return first
     for m in matrices[1:]:
         if m.channels != first.channels or m.window_samples != first.window_samples:
             raise ValueError("trial matrices disagree on channels or window")

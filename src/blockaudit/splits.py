@@ -3,17 +3,21 @@
 Three regimes cover the leakage spectrum: ``within_block`` reproduces the
 flawed protocol (every test trial shares its block with training trials),
 ``block_disjoint`` assigns whole blocks to one partition (leakage-free), and
-``leave_one_subject_out`` holds out entire subjects.  ``relabel_blocks``
-rewrites labels to block identity, the probe that exposes what a classifier
-is really keying on.
+``leave_one_subject_out`` holds out entire subjects.  The split functions
+read only a matrix's labels, block ids and subject ids, so building a plan
+on a matrix with an empty sample stack checks a design before any sample is
+processed.  ``relabel_blocks`` rewrites each session's class labels to
+block identity, the probe that exposes what a classifier is really keying
+on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import TrialMatrix
+from .dataset import Session, TrialMatrix
 
 WITHIN_BLOCK = "within_block"
 BLOCK_DISJOINT = "block_disjoint"
@@ -165,7 +169,8 @@ def split_leave_one_subject_out(
 ) -> SplitPlan:
     """Test on one subject, train on all others; no validation set."""
     subjects = np.asarray(trials.subject_ids).astype(str)
-    _check_subjects(subjects)
+    if np.unique(subjects).size < 2:
+        raise ValueError("leave-one-subject-out needs >= 2 subjects")
     mask = subjects == str(held_out_subject)
     if not mask.any():
         raise ValueError(f"unknown subject {held_out_subject!r}")
@@ -179,38 +184,28 @@ def split_leave_one_subject_out(
     )
 
 
-def _check_subjects(subject_ids: np.ndarray) -> None:
-    if np.unique(np.asarray(subject_ids).astype(str)).size < 2:
-        raise ValueError("leave-one-subject-out needs >= 2 subjects")
-
-
-def check_design(regime: str, trials: TrialMatrix) -> None:
-    """Raise the ValueError that splitting ``trials`` under ``regime`` would
-    raise for want of blocks, block trials or subjects.
-
-    Reads only labels, block ids and subject ids, so a matrix with an empty
-    sample stack checks a design before any sample is processed.
-    """
-    if regime == WITHIN_BLOCK:
-        _check_block_sizes(trials.block_ids)
-    elif regime == BLOCK_DISJOINT:
-        _block_groups(trials.labels, trials.block_ids)
-    else:
-        _check_subjects(trials.subject_ids)
-
-
 def loso_round_robin(trials: TrialMatrix) -> list[SplitPlan]:
     """One leave-one-subject-out plan per subject, in sorted subject order."""
     subjects = sorted(set(np.asarray(trials.subject_ids).astype(str)))
     return [split_leave_one_subject_out(trials, s) for s in subjects]
 
 
-def relabel_blocks(trials: TrialMatrix) -> TrialMatrix:
-    """Replace class labels with dense block indices.
+def relabel_blocks(sessions: Sequence[Session]) -> list[Session]:
+    """The sessions with each event's class label replaced by its block's
+    index among all blocks.
 
-    The trial data is untouched bit for bit.  On block-design data this is
+    Blocks are numbered in the order :func:`~blockaudit.dataset.concat_trials`
+    pools them: session by session, by block id within a session.  Samples
+    and every other event field are untouched.  On block-design data this is
     only a renaming; on rapid-event data the new labels are uncorrelated with
     the stimulus.
     """
-    _, dense = np.unique(trials.block_ids, return_inverse=True)
-    return trials.replace(labels=dense.astype(np.int64))
+    out = []
+    first = 0
+    for s in sessions:
+        blocks = sorted({ev.block_id for ev in s.events})
+        index = {b: i for i, b in enumerate(blocks, start=first)}
+        first += len(blocks)
+        events = [replace(ev, class_label=index[ev.block_id]) for ev in s.events]
+        out.append(replace(s, events=events))
+    return out

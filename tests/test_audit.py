@@ -30,6 +30,8 @@ from blockaudit import dsp, features
 from blockaudit.config import ConfigError, build_grid_spec, load_config
 from blockaudit.report import grid_csv_text
 
+from conftest import make_session
+
 
 TRAIN = ba.TrainConfig(seed=0, epochs=50, batch_size=64, learning_rate=3e-5)
 
@@ -201,7 +203,9 @@ class TestRunGrid:
          "has only 1"),
         (2, sp.WITHIN_BLOCK, "block 0 has 2 trials; need >= 3 to stratify"),
         (12, sp.LEAVE_ONE_SUBJECT_OUT, "needs >= 2 subjects"),
-    ], ids=["blocks_per_class", "trials_per_block", "subjects"])
+        # 0.8/0.1/0.1 of a 3-trial block deals all 3 trials to train
+        (3, sp.WITHIN_BLOCK, "train and test must be non-empty"),
+    ], ids=["blocks_per_class", "trials_per_block", "subjects", "test_trials"])
     @pytest.mark.usefixtures("no_filter")
     def test_unsplittable_design_raises_before_any_filter(
         self, trials_per_class, regime, message
@@ -262,6 +266,42 @@ class TestRunGrid:
             r"trial 0: window 10\+205 samples exceeds event length 128"
         )):
             run_grid(drift_session, spec)
+
+    @pytest.mark.usefixtures("no_filter")
+    def test_session_without_events_raises_before_any_filter(self):
+        spec = replace(small_spec(100.0), filter_configs=(NOTCH_ARM,))
+        with pytest.raises(ValueError, match="session has no events"):
+            run_grid(make_session(events=()), spec)
+
+    def test_check_grid_plans_are_the_segmented_matrix_plans(self):
+        sessions = [
+            ba.generate_session(
+                ba.make_block_schedule(3, 12, 500.0, 200.0, seed=seed,
+                                       blocks_per_class=3),
+                channels=4, sample_rate=256.0, drift=ba.DriftParams(),
+                evoked=ba.EvokedParams(), subject_id=subject, seed=seed,
+            )
+            for seed, subject in ((1, "b"), (2, "a"))
+        ]
+        spec = small_spec(256.0, splits=(
+            SplitSpec(sp.BLOCK_DISJOINT, (0.5, 0.25, 0.25)),
+            SplitSpec(sp.WITHIN_BLOCK, (0.6, 0.2, 0.2)),
+            SplitSpec(sp.LEAVE_ONE_SUBJECT_OUT),
+        ))
+        matrix = ba.concat_trials([
+            ba.segment(s, spec.start_offset_ms, 440.0) for s in sessions
+        ])
+        got = ba.audit.check_grid(sessions, spec)
+        assert [len(plans) for plans in got] == [1, 1, 2]
+        for si, (split, plans) in enumerate(zip(spec.splits, got)):
+            seed = ba.audit._derive_seed(spec.seed, ba.audit._SEED_SPLIT, si)
+            for plan, want in zip(
+                plans, ba.audit._build_plans(matrix, split, seed), strict=True
+            ):
+                for part in ("train", "validation", "test"):
+                    np.testing.assert_array_equal(
+                        getattr(plan, part), getattr(want, part))
+                assert plan.held_out_subject == want.held_out_subject
 
     def test_multi_session_loso(self):
         sessions = []
@@ -418,6 +458,34 @@ class TestRelabelAnalysis:
         result = relabel_analysis(session, spec)
         cell = next(iter(result.cells.values()))
         assert cell.chance_p >= 0.01
+
+    def test_two_sessions_one_label_per_block(self, monkeypatch):
+        sessions = [
+            ba.generate_session(
+                ba.make_block_schedule(3, 10, 500.0, 200.0, seed=seed,
+                                       blocks_per_class=2),
+                channels=4, sample_rate=256.0, drift=ba.DriftParams(),
+                evoked=ba.EvokedParams(), subject_id=subject, seed=seed,
+            )
+            for seed, subject in ((1, "a"), (2, "b"))
+        ]
+        designs = []
+        real = sp.split_within_block
+
+        def spy(trials, *args, **kwargs):
+            designs.append(trials)
+            return real(trials, *args, **kwargs)
+
+        monkeypatch.setattr(sp, "split_within_block", spy)
+        spec = small_spec(256.0, classifiers=("knn",),
+                          splits=(SplitSpec(sp.WITHIN_BLOCK, (0.6, 0.2, 0.2)),))
+        result = relabel_analysis(sessions, spec)
+        cell = next(iter(result.cells.values()))
+        assert cell.ok and cell.num_classes == 12  # 6 blocks per session
+        (design,) = designs
+        labels = [set(design.labels[design.subject_ids == s]) for s in "ab"]
+        assert len(labels[0]) == len(labels[1]) == 6
+        assert labels[0].isdisjoint(labels[1])
 
     def test_single_block_rejected(self):
         schedule = ba.make_block_schedule(2, 4, 500.0, 0.0, seed=6,

@@ -12,6 +12,7 @@ from blockaudit import audit as audit_mod
 from blockaudit import dsp, load_session, save_session
 from blockaudit.cli import main
 from blockaudit.config import ConfigError, load_config, validate_config
+from blockaudit.dataset import read_container, write_container
 
 
 AUDIT_GRID = {
@@ -341,6 +342,29 @@ class TestAudit:
         assert grid_calls == []
         assert not (tmp_path / "r").exists()
 
+    def test_blocks_too_small_for_a_test_trial_exit_2_before_any_grid(
+        self, tmp_path, capsys, grid_calls
+    ):
+        # 0.8/0.1/0.1 of a 3-trial block deals all 3 trials to train; this
+        # used to pass the design check and fail after the first filter pass
+        sessions = tmp_path / "small_blocks"
+        assert main(synth_args(sessions, [
+            "--classes", "4", "--trials-per-class", "3",
+            "--blocks-per-class", "1",
+        ])) == 0
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "out": str(tmp_path / "r"),
+            "grid": {"splits": [{"regime": "within_block"}]},
+            "inputs": [str(sessions / "s01_block.baud")],
+        }))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert ("invalid audit config at grid: train and test must be "
+                "non-empty") in err
+        assert grid_calls == []
+        assert not (tmp_path / "r").exists()
+
     def test_cnn_kernel_longer_than_window_exit_2_before_any_grid(
         self, session_dir, tmp_path, capsys, grid_calls
     ):
@@ -417,6 +441,22 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "non-finite sample nan at channel 3, sample 100" in err
         assert "INCONCLUSIVE" not in err
+
+    def test_negative_block_id_named_and_exit_1(self, session_dir, tmp_path,
+                                                capsys):
+        # a negative id would merge blocks of different sessions in the pool
+        header, payload = read_container(session_dir / "s01_block.baud")
+        first = header["events"][0]["block_id"]
+        for ev in header["events"]:
+            if ev["block_id"] == first:
+                ev["block_id"] = -1
+        path = tmp_path / "negative.baud"
+        write_container(path, header, payload)
+        code = main(["audit", "--input", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}: trial 0: block_id must be >= 0" in err
+        assert not (tmp_path / "r").exists()
 
     def test_multi_subject_loso(self, tmp_path):
         sessions = tmp_path / "multi"

@@ -152,6 +152,12 @@ class TestSessionInvariants:
         with pytest.raises(ValueError, match="length_samples"):
             TrialEvent(0, 0, 0, 0, 0)
 
+    def test_rejects_negative_block_id(self):
+        # concat_trials offsets each session's ids by the previous one's
+        # max + 1, so a negative id would merge blocks across sessions
+        with pytest.raises(ValueError, match="trial 3: block_id must be >= 0"):
+            TrialEvent(3, 0, -1, 0, 10)
+
     def test_rejects_non_finite_sample(self):
         samples = np.zeros((3, 50), dtype=np.float32)
         samples[2, 17] = np.inf
@@ -228,6 +234,10 @@ class TestConcat:
         # block ids from the second session must not collide with the first
         assert set(pooled.block_ids[:2]) & set(pooled.block_ids[2:]) == set()
         assert list(pooled.subject_ids) == ["s01", "s01", "s02", "s02"]
+
+    def test_single_matrix_returned_as_is(self, tiny_session):
+        tm = segment(tiny_session, 0.0, 100.0)
+        assert concat_trials([tm]) is tm
 
     def test_rejects_mismatched_windows(self, tiny_session):
         a = segment(tiny_session, 0.0, 100.0)

@@ -1,15 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockaudit import (
     SplitPlan,
+    TrialEvent,
     TrialMatrix,
+    concat_trials,
     loso_round_robin,
     relabel_blocks,
+    segment,
     split_block_disjoint,
     split_leave_one_subject_out,
     split_within_block,
 )
+
+from conftest import make_session
 
 
 def matrix(labels, blocks, subjects=None, seed=0):
@@ -174,29 +183,77 @@ class TestPlanInvariants:
                       num_trials=3)
 
 
+def session(labels, blocks, subject="s", seed=0):
+    """A 2-channel session of 4-sample trials at 100 Hz, one per label."""
+    events = [
+        TrialEvent(i, int(c), int(b), 4 * i, 4)
+        for i, (c, b) in enumerate(zip(labels, blocks))
+    ]
+    return make_session(channels=2, total=4 * len(events), events=events,
+                        seed=seed, subject=subject)
+
+
+def relabeled_labels(sessions):
+    return [[ev.class_label for ev in s.events]
+            for s in relabel_blocks(sessions)]
+
+
 class TestRelabelBlocks:
     def test_block_design_is_renaming(self):
         tm = block_design(3, 1, 4)
-        out = relabel_blocks(tm)
+        (labels,) = relabeled_labels([session(tm.labels, tm.block_ids)])
+        labels = np.asarray(labels)
         # same partition of trials, up to label names
         for b in range(3):
-            rows = tm.block_ids == b
-            assert np.unique(out.labels[rows]).size == 1
+            assert np.unique(labels[tm.block_ids == b]).size == 1
+        assert np.unique(labels).size == 3
 
     def test_rapid_event_labels_become_block_ids(self):
         labels = [0, 1, 2, 0, 1, 2]
         blocks = [0, 0, 0, 1, 1, 1]
-        tm = matrix(labels, blocks)
-        out = relabel_blocks(tm)
-        np.testing.assert_array_equal(out.labels, [0, 0, 0, 1, 1, 1])
+        assert relabeled_labels([session(labels, blocks)]) == [[0, 0, 0, 1, 1, 1]]
 
     def test_data_bit_exact(self):
         tm = block_design(2, 2, 3)
-        out = relabel_blocks(tm)
-        assert out.trials.tobytes() == tm.trials.tobytes()
-        assert out.num_trials == tm.num_trials
+        original = session(tm.labels, tm.block_ids)
+        (out,) = relabel_blocks([original])
+        assert out.samples.tobytes() == original.samples.tobytes()
+        assert (out.sample_rate, out.subject_id) == (
+            original.sample_rate, original.subject_id)
+        # every event field but the label is kept
+        assert [replace(ev, class_label=0) for ev in out.events] == [
+            replace(ev, class_label=0) for ev in original.events]
 
     def test_single_block_yields_one_class(self):
-        tm = matrix([0, 1, 2], [7, 7, 7])
-        out = relabel_blocks(tm)
-        np.testing.assert_array_equal(out.labels, [0, 0, 0])
+        assert relabeled_labels([session([0, 1, 2], [7, 7, 7])]) == [[0, 0, 0]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True),
+            st.lists(st.integers(1, 3), min_size=4, max_size=4),
+            st.lists(st.integers(0, 3), min_size=12, max_size=12),
+        ),
+        min_size=1, max_size=3,
+    ))
+    def test_pooled_labels_are_dense_pooled_block_ids(self, layouts):
+        # per session: its block ids in onset order, each block's size and
+        # the trials' stimulus labels
+        sessions = []
+        for i, (block_ids, sizes, classes) in enumerate(layouts):
+            blocks = np.repeat(block_ids, sizes[: len(block_ids)])
+            sessions.append(session(classes[: blocks.size], blocks,
+                                    subject=f"s{i}", seed=i))
+        relabeled = relabel_blocks(sessions)
+
+        def pool(ss):
+            return concat_trials([segment(s, 0.0, 40.0) for s in ss])
+
+        before, after = pool(sessions), pool(relabeled)
+        np.testing.assert_array_equal(
+            after.labels, np.unique(before.block_ids, return_inverse=True)[1]
+        )
+        np.testing.assert_array_equal(after.block_ids, before.block_ids)
+        assert after.trials.tobytes() == before.trials.tobytes()
+        for s, r in zip(sessions, relabeled):
+            assert r.samples.tobytes() == s.samples.tobytes()
