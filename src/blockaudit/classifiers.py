@@ -10,13 +10,77 @@ training) and safe to share for inference.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from ._threads import worker_threads
 
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite during training."""
+
+
+@functools.cache
+def _openblas_thread_fns():
+    """``(get, set)`` num-threads functions of numpy's bundled OpenBLAS, or
+    None where there is none.  The library sits under ``numpy.libs``; its
+    symbols are spelled by wheel: ``scipy_openblas_…64_``, ``openblas_…64_``
+    or unprefixed."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Holds numpy's OpenBLAS to one thread while any holder is inside, and
+    restores the previous count when the last one leaves, on every exit path.
+    Where no OpenBLAS function is found, BLAS threading is left alone."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._previous = 1
+
+    def __enter__(self):
+        fns = _openblas_thread_fns()
+        if fns is not None:
+            get, put = fns
+            with self._lock:
+                if self._holders == 0:
+                    self._previous = get()
+                    put(1)
+                self._holders += 1
+
+    def __exit__(self, *exc):
+        fns = _openblas_thread_fns()
+        if fns is not None:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    fns[1](self._previous)
+
+
+# The CNN's chunk workers run their GEMMs side by side; a second BLAS thread
+# would only spin between them while numpy runs the elementwise passes.
+_one_blas_thread = _OneBlasThread()
 
 
 # Bytes of CNN conv output per chunk of trials: a chunk's temporaries stay in
@@ -355,7 +419,11 @@ class Cnn1dConfig:
     zero-padded only when the last of them runs past the window.  The
     convolution, ELU, dropout and pooling, and the backward pass through
     them, run a few trials at a time, so that each chunk's temporaries stay
-    in cache.  ``dropout_p`` is 0 or 0.5: a mask draws one random bit per
+    in cache.  In ``train_cnn1d`` and ``Cnn1dModel.logits`` the chunks run on
+    up to 2 worker threads, never more than the usable CPUs (the worker rule
+    ``dsp.apply_filter`` shares), with numpy's OpenBLAS held to one thread
+    for the call; the results are bit-identical to one chunk after another.
+    ``dropout_p`` is 0 or 0.5: a mask draws one random bit per
     element, an exact Bernoulli draw.  The first mask draws its bits over
     ``ceil(t1 / kernel_len)·kernel_len`` points per channel and uses those
     of the computed tiles, so a seeded mask stream does not depend on the
@@ -460,11 +528,21 @@ class Cnn1dModel:
         )
         return band.reshape(2 * L - 1, L * K)
 
-    def _forward(self, x: np.ndarray, train: bool, need_grads: bool = True):
+    def _checked_input(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.ndim != 3 or x.shape[1:] != (self.channels, self.width):
+            raise ValueError(
+                f"CNN input must be (N, channels, width) = (N, {self.channels}, "
+                f"{self.width}), got shape {x.shape}")
+        return x
+
+    def _forward(self, x: np.ndarray, train: bool, need_grads: bool = True,
+                 chunk_map=map):
+        """Logits and the backward pass's cache.  ``chunk_map`` is ``map`` or
+        an executor's ``map``: each chunk writes its own slices of ``feat``
+        and ``deriv``."""
         cfg = self.config
         n, ch, w = x.shape
-        if ch != self.channels or w != self.width:
-            raise ValueError("input shape does not match the trained model")
         L, K, points = cfg.kernel_len, cfg.kernels, self.n_tiles * cfg.kernel_len
         # tiles of 2L − 1 samples at stride L, zero-padded only past the end:
         # (n, ch, n_tiles, 2L − 1), contiguous so the matmuls below hit BLAS
@@ -488,7 +566,7 @@ class Cnn1dModel:
         deriv = np.empty((n, ch, points, K), dtype=dtype) if need_grads else None
         # a few trials at a time, so that each chunk's conv output and its
         # temporaries stay in cache
-        for s in range(0, n, self._chunk):
+        def forward_chunk(s):
             e = min(s + self._chunk, n)
             conv = tiles[s:e].reshape(-1, 2 * L - 1) @ band
             conv += bias
@@ -512,6 +590,9 @@ class Cnn1dModel:
                     d *= bits  # the backward pass needs only the product
             # pool over time: (chunk, ch, P, K) into (chunk, P, ch, K)
             feat[s:e] = np.matmul(pool.T, act).transpose(0, 2, 1, 3)
+
+        # list() reads every result, so a worker's exception is raised
+        list(chunk_map(forward_chunk, range(0, n, self._chunk)))
         feat = feat.reshape(n, self.pooled, ch * K)
         cache = {"tiles": tiles, "deriv": deriv, "pool": pool} if need_grads else {}
         cache["feat"] = feat
@@ -527,12 +608,14 @@ class Cnn1dModel:
         return logits, cache
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(np.asarray(x), train=False, need_grads=False)[0]
+        x = self._checked_input(x)
+        with _one_blas_thread, ThreadPoolExecutor(worker_threads()) as workers:
+            return self._forward(x, False, False, workers.map)[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.logits(x).argmax(axis=1)
 
-    def _backward(self, x, dlogits, cache):
+    def _backward(self, x, dlogits, cache, chunk_map):
         cfg = self.config
         n = x.shape[0]
         g_out_w = cache["flat"].T @ dlogits
@@ -554,13 +637,20 @@ class Cnn1dModel:
         g_bias = np.zeros(L * K, dtype=deriv.dtype)  # summed over the L rows below
         # a GEMV sums a chunk's rows about 3x faster than .sum(axis=0)
         ones = np.ones(self._chunk * self.channels * self.n_tiles, dtype=deriv.dtype)
-        for s in range(0, n, self._chunk):
+
+        def backward_chunk(s):
             e = min(s + self._chunk, n)
             dconv = np.matmul(pool, dfeat[s:e])  # (chunk, ch, n_tiles·L, K)
             dconv *= deriv[s:e]
             dconv = dconv.reshape(-1, L * K)
-            g_band += tiles[s:e].reshape(-1, 2 * L - 1).T @ dconv
-            g_bias += ones[: dconv.shape[0]] @ dconv
+            return (tiles[s:e].reshape(-1, 2 * L - 1).T @ dconv,
+                    ones[: dconv.shape[0]] @ dconv)
+
+        # summed in chunk order on this thread, so the sums do not depend on
+        # which worker finished first
+        for band_part, bias_part in chunk_map(backward_chunk, range(0, n, self._chunk)):
+            g_band += band_part
+            g_bias += bias_part
         # conv_w[k, l] feeds band entries (l + r, r·K + k): sum those diagonals
         row, item = g_band.strides
         diagonals = np.lib.stride_tricks.as_strided(
@@ -575,13 +665,17 @@ class Cnn1dModel:
 
         ``train=True`` samples fresh dropout masks (advancing the model's
         mask stream); ``train=False`` is the deterministic path used by
-        gradient checking.
+        gradient checking.  The chunks run one after another on the calling
+        thread.
         """
-        x = np.asarray(x)
+        return self._loss_and_grads(x, y, train, map)
+
+    def _loss_and_grads(self, x, y, train: bool, chunk_map):
+        x = self._checked_input(x)
         y = np.asarray(y, dtype=np.int64)
-        logits, cache = self._forward(x, train=train)
+        logits, cache = self._forward(x, train, True, chunk_map)
         loss, dlogits = _softmax_cross_entropy(logits, y)
-        grads = self._backward(x, dlogits, cache)
+        grads = self._backward(x, dlogits, cache, chunk_map)
         if self.weight_decay:
             for p, g in zip(self.param_arrays(), grads):
                 if p.ndim > 1:  # weights only, not biases
@@ -596,16 +690,33 @@ def train_cnn1d(
     config: Cnn1dConfig,
     train_config: TrainConfig = TrainConfig(),
 ) -> Cnn1dModel:
-    """Train the 1-D CNN on an (N, ch, W) trial stack."""
+    """Train the 1-D CNN on an (N, channels, width) trial stack.
+
+    Each step's chunks run on up to 2 worker threads, never more than the
+    usable CPUs (the worker rule ``dsp.apply_filter`` shares), and numpy's
+    OpenBLAS is held to one thread for the fit, then restored.  The trained
+    parameters are bit-identical to one chunk after another.  A stack that is
+    not 3-D, or a label outside ``0..config.classes - 1``, raises
+    ``ValueError`` before any worker starts.
+    """
     x, y, dtype = _training_set(train_x, train_y, "CNN")
+    if x.ndim != 3:
+        raise ValueError(
+            f"CNN input must be (N, channels, width), got shape {x.shape}")
+    bad = (y < 0) | (y >= config.classes)
+    if bad.any():
+        raise ValueError(f"CNN label {y[bad][0]} is outside 0..{config.classes - 1}"
+                         f" (config.classes={config.classes})")
     model = Cnn1dModel(
         config, channels=x.shape[1], width=x.shape[2],
         seed=train_config.seed, dtype=dtype,
         weight_decay=train_config.weight_decay,
     )
     rng = np.random.default_rng(train_config.seed + 1)
-    _sgd(model.param_arrays(), x.shape[0], train_config, rng,
-         lambda idx: model.loss_and_grads(x[idx], y[idx], train=True), "CNN")
+    with _one_blas_thread, ThreadPoolExecutor(worker_threads()) as workers:
+        _sgd(model.param_arrays(), x.shape[0], train_config, rng,
+             lambda idx: model._loss_and_grads(x[idx], y[idx], True, workers.map),
+             "CNN")
     return model
 
 

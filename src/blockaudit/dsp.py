@@ -6,7 +6,8 @@ designs.  They run on scipy's compiled SOS kernel, the private
 ``scipy.signal._sosfilt._sosfilt`` that ``sosfilt`` calls after copying its
 input.  It filters in place, so each filter thread pads and filters every
 row it handles in one reused float64 buffer.  Rows are filtered one channel
-per task on up to 2 threads, and the output is bit-identical to
+per task on up to 2 threads (``_threads.worker_threads``, the rule the CNN's
+chunk loops share), and the output is bit-identical to
 ``sosfiltfilt``/``sosfilt`` row by row; the tests check that, which guards
 the private import.
 
@@ -17,7 +18,6 @@ float64 copy of the trials or the session.
 """
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +29,7 @@ from scipy import signal as _signal
 # filters a C-contiguous (rows, T) float64 array in place, without the GIL
 from scipy.signal._sosfilt import _sosfilt as _sos_kernel
 
+from ._threads import worker_threads
 from .dataset import Session, TrialEvent, TrialMatrix
 
 
@@ -127,13 +128,6 @@ def frequency_response(
 # Application
 # ---------------------------------------------------------------------------
 
-def _filter_threads() -> int:
-    """Up to 2 threads, never more than the CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(2, len(os.sched_getaffinity(0)))
-    return min(2, os.cpu_count() or 1)
-
-
 def _filter_rows(sos: np.ndarray, rows: np.ndarray, out: np.ndarray,
                  mode: str) -> None:
     """Filter each row of the (rows, T) ``rows`` into the same row of ``out``
@@ -171,7 +165,7 @@ def _filter_rows(sos: np.ndarray, rows: np.ndarray, out: np.ndarray,
         _sos_kernel(sos, rev, zi * row[-1])
         out[r] = rev[0, pad:pad + num_samples][::-1]
 
-    with ThreadPoolExecutor(max_workers=_filter_threads()) as pool:
+    with ThreadPoolExecutor(max_workers=worker_threads()) as pool:
         # list() reads every result, so a worker's exception is raised
         list(pool.map(filter_row, range(len(rows))))
 
@@ -192,8 +186,9 @@ def apply_filter(
     whole sessions zero-phase, before they are cut into trials, so no trial
     edge adds a filter transient.
 
-    Each channel (each row of a bare array) is one task on up to 2 threads
-    (fewer when fewer CPUs are usable).  The passes run in float64 on scipy's
+    Each channel (each row of a bare array) is one task on up to 2 threads,
+    never more than the CPUs this process may run on: the worker rule
+    (``_threads.worker_threads``) that the CNN's chunk loops share.  The passes run in float64 on scipy's
     SOS kernel (see the module docstring), in place in one reused padded
     row per thread; the output is bit-identical to ``sosfiltfilt``/
     ``sosfilt`` on each row, cast to the output dtype.  A bad ``sos``, an

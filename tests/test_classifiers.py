@@ -1,3 +1,7 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,6 +19,7 @@ from blockaudit import (
     train_mlp,
     train_svm,
 )
+from blockaudit import classifiers
 from blockaudit.classifiers import _CHUNK_BYTES, TrainingDiverged
 
 
@@ -272,6 +277,42 @@ class TestCnnShapes:
         assert l1 != l2  # fresh masks per step
 
 
+class TestCnnInputs:
+    @pytest.fixture
+    def no_workers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool or the BLAS hold was started")
+
+        monkeypatch.setattr(classifiers, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(classifiers._OneBlasThread, "__enter__", refuse)
+
+    def test_two_dimensional_training_stack_rejected(self, no_workers):
+        with pytest.raises(ValueError, match=r"must be \(N, channels, width\), "
+                                             r"got shape \(12, 300\)"):
+            train_cnn1d(np.zeros((12, 300)), np.arange(12) % 3,
+                        Cnn1dConfig(classes=3))
+
+    def test_label_outside_config_classes_rejected(self, no_workers):
+        x = np.zeros((6, 2, 200))
+        with pytest.raises(ValueError, match=r"label 2 .*config\.classes=2"):
+            train_cnn1d(x, np.array([0, 1, 2, 0, 1, 2]), Cnn1dConfig(classes=2))
+
+    def test_two_dimensional_predict_input_rejected(self, no_workers):
+        model = Cnn1dModel(Cnn1dConfig(classes=3), channels=2, width=200, seed=0)
+        with pytest.raises(ValueError, match=r"\(N, channels, width\) = "
+                                             r"\(N, 2, 200\), got shape \(3, 400\)"):
+            model.predict(np.zeros((3, 400)))
+
+
+def test_openblas_lookup_finds_the_bundled_library():
+    # numpy's wheels bundle OpenBLAS under numpy.libs, each spelling its
+    # symbols its own way; the CNN's one-thread hold needs them found
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if not any(libs.glob("*openblas*")):
+        pytest.skip("this numpy bundles no OpenBLAS")
+    assert classifiers._openblas_thread_fns() is not None
+
+
 class TestGradientChecks:
     def test_mlp_gradients(self):
         rng = np.random.default_rng(11)
@@ -486,6 +527,83 @@ class TestCnnChunks:
         _assert_close(loss, -np.log(probs[np.arange(n), y]).mean())
         for got, want in zip(grads, want_grads):
             _assert_close(got, want)
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
+    def test_one_and_two_workers_are_bit_identical(self, monkeypatch, dropout_p):
+        model, x, y = self.chunked_model(dropout_p)
+        assert -(-len(y) // model._chunk) == 4
+        state = model._mask_rng.bit_generator.state
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(classifiers, "worker_threads", lambda n=workers: n)
+            model._mask_rng.bit_generator.state = state
+            with ThreadPoolExecutor(workers) as pool:
+                grads = model._loss_and_grads(x, y, True, pool.map)[1]
+            trained = train_cnn1d(x, y, model.config, TrainConfig(seed=6, epochs=2))
+            runs[workers] = [model.logits(x), *grads, *trained.param_arrays()]
+        for one, two in zip(runs[1], runs[2]):
+            assert np.array_equal(one, two)
+        # the chunks one after another on this thread, as outside a fit
+        model._mask_rng.bit_generator.state = state
+        serial = model.loss_and_grads(x, y, train=True)[1]
+        for threaded, want in zip(runs[2][1:7], serial):
+            assert np.array_equal(threaded, want)
+
+    @pytest.fixture
+    def blas_threads(self):
+        """numpy's OpenBLAS thread count getter, with the count set to 2 for
+        the test and put back after it."""
+        fns = classifiers._openblas_thread_fns()
+        if fns is None:
+            pytest.skip("no OpenBLAS thread-count function under numpy.libs")
+        get, put = fns
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_blas_held_to_one_thread_and_restored(self, monkeypatch, blas_threads):
+        model, x, y = self.chunked_model(0.5)
+        previous = blas_threads()
+        seen = []
+        step, forward = Cnn1dModel._loss_and_grads, Cnn1dModel._forward
+
+        def spy_step(self, *args, diverge=False):
+            seen.append(blas_threads())
+            loss, grads = step(self, *args)
+            return float("nan") if diverge else loss, grads
+
+        def spy_forward(self, *args):
+            seen.append(blas_threads())
+            return forward(self, *args)
+
+        monkeypatch.setattr(Cnn1dModel, "_loss_and_grads", spy_step)
+        train_cnn1d(x, y, model.config, TrainConfig(epochs=2))
+        assert seen == [1, 1] and blas_threads() == previous
+        monkeypatch.setattr(Cnn1dModel, "_loss_and_grads",
+                            lambda *args: spy_step(*args, diverge=True))
+        with pytest.raises(TrainingDiverged):
+            train_cnn1d(x, y, model.config, TrainConfig(epochs=2))
+        assert seen == [1, 1, 1] and blas_threads() == previous
+        monkeypatch.setattr(Cnn1dModel, "_forward", spy_forward)
+        model.predict(x)
+        assert seen == [1, 1, 1, 1] and blas_threads() == previous
+
+    def test_concurrent_predictions_restore_the_blas_count(self, blas_threads):
+        # overlapping holds: only the last one out restores the count
+        model, x, _ = self.chunked_model(0.0)
+        want = model.logits(x)
+        previous = blas_threads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                got = list(callers.map(lambda _: model.logits(x), range(16),
+                                       timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 16 and all(np.array_equal(g, want) for g in got)
+        assert blas_threads() == previous
 
     def test_samples_past_the_last_pooling_window_feed_nothing(self):
         cfg = Cnn1dConfig(kernels=2, kernel_len=5, pool_len=7, pool_stride=9,

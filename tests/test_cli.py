@@ -506,6 +506,42 @@ def test_reports_identical_under_one_and_two_blas_threads(session_dir, tmp_path)
     assert manifests[0] == manifests[1]
 
 
+_FOUR_CLASSIFIER_GRID = """
+import json
+import blockaudit as ba
+from blockaudit import splits as sp
+schedule = ba.make_rapid_event_schedule(4, 20, 8, 500.0, 200.0, seed=4)
+session = ba.generate_session(
+    schedule, channels=8, sample_rate=512.0, drift=ba.DriftParams(),
+    evoked=ba.EvokedParams(), subject_id="s01", seed=4)
+spec = ba.GridSpec(
+    classifiers=("knn", "svm", "mlp", "cnn1d"), windows_ms=(440.0,),
+    channel_counts=(0,),
+    splits=(ba.SplitSpec(sp.WITHIN_BLOCK, (0.8, 0.1, 0.1)),),
+    filter_configs=(ba.FilterConfig(name="raw"),), seed=17,
+    train_config=ba.TrainConfig(seed=0, epochs=3, learning_rate=1e-3))
+print(json.dumps(ba.run_grid(session, spec).to_dict(), sort_keys=True))
+"""
+
+
+def test_four_classifier_grid_identical_under_one_and_two_blas_threads():
+    # the CNN holds OpenBLAS to one thread for its fit and the MLP does not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    grids = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOUR_CLASSIFIER_GRID],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        grids[threads] = proc.stdout
+    cells = json.loads(grids["1"])["cells"]
+    assert sorted({c["classifier"] for c in cells}) == ["cnn1d", "knn", "mlp", "svm"]
+    assert not any(c["error"] for c in cells)
+    assert grids["1"] == grids["2"]
+
+
 class TestCodebookCommand:
     def test_report(self, tmp_path):
         out = tmp_path / "cb"
