@@ -39,6 +39,7 @@ from .features import (
     ChannelRanking,
     crop_windows,
     fisher_scores,
+    order_channels,
     select_channels,
 )
 from .classifiers import (

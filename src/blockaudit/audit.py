@@ -451,8 +451,8 @@ def _evaluate_group(
 ) -> dict[tuple[int, str], CellResult]:
     """All (channel count, classifier) cells sharing one (filter, split,
     window) combination: crop once; per plan, z-score the train and test
-    rows and rank once, and select each channel count once for all its
-    classifiers."""
+    rows, rank once and put both in ranking order in place, so each channel
+    count is a prefix, selected once for all its classifiers."""
     by_channels: dict[int, list[_CellAccumulator]] = {}
     for (channels, kind), seed in train_seeds.items():
         by_channels.setdefault(channels, []).append(
@@ -470,6 +470,10 @@ def _evaluate_group(
         try:
             train, test = dsp.zscore(cropped, fc.zscore_scope, plan.train, plan.test)
             ranking = features.fisher_scores(train)
+            # zscore gathered these two stacks for this plan alone; never
+            # reorder base or cropped, which is base at full width
+            features.order_channels(train, ranking)
+            features.order_channels(test, ranking)
         except ValueError as exc:
             for cells in by_channels.values():
                 for cell in cells:
@@ -478,7 +482,7 @@ def _evaluate_group(
         for channels, cells in by_channels.items():
             try:
                 fit_input, test_input = (
-                    features.select_channels(m, ranking, channels)
+                    features.select_channels(m, channels)
                     for m in (train, test)
                 )
             except ValueError as exc:

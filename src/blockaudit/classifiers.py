@@ -148,12 +148,16 @@ def _sgd(params, n: int, config: TrainConfig, rng, step, name: str) -> None:
 
 
 def _training_set(train_x, train_y, name: str):
-    """``(x, int64 labels, float dtype)`` of a training set with >= 2 classes.
+    """``(x, int64 labels, float dtype)`` of a training set with one label
+    per sample and >= 2 classes.
 
     The dtype is ``x``'s own when it is float32 or float64, else float64.
     """
     x = np.asarray(train_x)
     y = np.asarray(train_y, dtype=np.int64)
+    if y.shape != (len(x),):
+        raise ValueError(
+            f"{name} training set has {len(x)} samples but {y.size} labels")
     if np.unique(y).size < 2:
         raise ValueError(f"{name} training needs at least 2 classes")
     return x, y, x.dtype if x.dtype in (np.float32, np.float64) else np.float64
@@ -313,7 +317,9 @@ def train_svm(
         return float(loss), [grad, ds.sum(axis=0)]
 
     _sgd([coef, bias], n, config, rng, step, "SVM")
-    return LinearModel(x.T @ coef, bias, l2=l2)
+    # (coef.T @ x).T equals x.T @ coef bit for bit in float32; x.T @ coef at
+    # 2 OpenBLAS threads faults in a 58 MB buffer at n = 400, D = 43,296
+    return LinearModel(np.ascontiguousarray((coef.T @ x).T), bias, l2=l2)
 
 
 # ---------------------------------------------------------------------------

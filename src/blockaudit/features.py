@@ -104,14 +104,32 @@ def fisher_scores(trials: TrialMatrix) -> ChannelRanking:
     return ChannelRanking(scores=scores, order=order)
 
 
-def select_channels(
-    trials: TrialMatrix, ranking: ChannelRanking, m: int
-) -> TrialMatrix:
-    """Keep the top-m channels of the ranking, in ranking order."""
-    if not 1 <= m <= trials.channels:
-        raise ValueError(f"m={m} out of range 1..{trials.channels}")
+def order_channels(trials: TrialMatrix, ranking: ChannelRanking) -> None:
+    """Put the channels of ``trials`` in ranking order, in place.
+
+    Rewrites the stack one trial at a time, through a (channels, W)
+    temporary, so no second stack is made.  Pass only rows gathered for
+    this use (``dsp.zscore``'s results, say), never a matrix another caller
+    holds; a stack that is a view of another array raises ValueError.
+    """
     if ranking.order.size != trials.channels:
         raise ValueError("ranking does not match this matrix's channel count")
-    # np.take writes a C-contiguous result; trials[:, top, :] would not be,
-    # and TrialMatrix would copy it a second time to make it so
-    return trials.replace(trials=np.take(trials.trials, ranking.order[:m], axis=1))
+    x = trials.trials
+    if not x.flags.owndata:
+        raise ValueError("order_channels needs a stack that owns its data")
+    x.setflags(write=True)
+    try:
+        for trial in x:
+            trial[...] = trial[ranking.order]
+    finally:
+        x.setflags(write=False)
+
+
+def select_channels(trials: TrialMatrix, m: int) -> TrialMatrix:
+    """Keep the first m channels, the top m once :func:`order_channels` has
+    put them in ranking order.  All channels share the stack, uncopied."""
+    if not 1 <= m <= trials.channels:
+        raise ValueError(f"m={m} out of range 1..{trials.channels}")
+    # the prefix is a view; TrialMatrix copies it into a C-contiguous stack
+    # unless it is all channels, which is contiguous already
+    return trials.replace(trials=trials.trials[:, :m])

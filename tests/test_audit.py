@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from blockaudit.audit import (
     binomial_p_vs_chance,
 )
 from blockaudit import splits as sp
-from blockaudit import dsp, features
+from blockaudit import audit as audit_mod, dsp, features
 from blockaudit.config import ConfigError, build_grid_spec, load_config
 from blockaudit.report import grid_csv_text
 
@@ -107,7 +108,8 @@ class TestRunGrid:
         )
         train, test = dsp.zscore(matrix, "train_statistics", plan.train, plan.test)
         ranking = features.fisher_scores(train)
-        train, test = (features.select_channels(m, ranking, 4) for m in (train, test))
+        train, test = (m.replace(trials=np.take(m.trials, ranking.order[:4], axis=1))
+                       for m in (train, test))
         model = ba.KnnModel(
             train.trials.reshape(train.num_trials, -1), train.labels, k=7
         )
@@ -420,11 +422,90 @@ class TestLeakageGuard:
         select = features.select_channels
         monkeypatch.setattr(
             features, "select_channels",
-            lambda trials, ranking, m: select(every_trial, ranking, m),
+            lambda trials, m: select(every_trial, m),
         )
         spec = small_spec(256.0, classifiers=("knn",))
         with pytest.raises(LeakageError, match="test trial"):
             run_grid(drift_session, spec)
+
+
+class TestChannelOrderInPlace:
+    """The grid puts each plan's z-scored stacks in ranking order in place and
+    fits every channel count on a prefix of them."""
+
+    def _plan(self, matrix):
+        return sp.split_within_block(matrix, (0.8, 0.1, 0.1), seed=3)
+
+    def test_fit_inputs_equal_take_of_the_zscored_stacks(self, drift_session,
+                                                         monkeypatch):
+        matrix = ba.segment(drift_session, 40.0, 440.0)
+        plan = self._plan(matrix)
+        train, test = dsp.zscore(matrix, "train_statistics", plan.train, plan.test)
+        order = features.fisher_scores(train).order
+        seen = {}
+        fit_and_score = audit_mod._CellAccumulator.fit_and_score
+
+        def record(cell, fit, held_out, spec):
+            seen[fit.channels] = (fit.trials.copy(), held_out.trials.copy())
+            fit_and_score(cell, fit, held_out, spec)
+
+        monkeypatch.setattr(audit_mod._CellAccumulator, "fit_and_score", record)
+        spec = small_spec(256.0, classifiers=("knn",))
+        _evaluate_group(
+            matrix, [plan], spec, FilterConfig(name="raw"), 440.0, crop_seed=0,
+            train_seeds={(16, "knn"): 0, (8, "knn"): 1, (1, "knn"): 2},
+            num_classes=matrix.num_classes,
+        )
+        assert sorted(seen) == [1, 8, 16]
+        for m, (fit, held_out) in seen.items():
+            assert np.array_equal(fit, np.take(train.trials, order[:m], axis=1))
+            assert np.array_equal(held_out, np.take(test.trials, order[:m], axis=1))
+
+    def test_full_width_window_leaves_base_unchanged(self, drift_session):
+        matrix = ba.segment(drift_session, 40.0, 440.0)
+        before = matrix.trials.tobytes()
+        spec = small_spec(256.0, classifiers=("knn",))
+        cells = _evaluate_group(
+            matrix, [self._plan(matrix)], spec, FilterConfig(name="raw"),
+            440.0, crop_seed=0, train_seeds={(16, "knn"): 0, (8, "knn"): 1},
+            num_classes=matrix.num_classes,
+        )
+        assert all(cell.ok for cell in cells.values())
+        assert matrix.trials.tobytes() == before
+        assert not matrix.trials.flags.writeable
+
+    def test_all_channels_cell_copies_no_stack(self):
+        # numpy reports its buffers to tracemalloc; reordering in place keeps
+        # the call's peak near one copy of the z-scored stacks, where a
+        # gathered all-channels input would hold a second.  32 channels at
+        # 1,024 Hz make the stacks (4 MB) large beside zscore's fixed
+        # 0.5 MB statistics buffer.
+        schedule = ba.make_block_schedule(4, 20, 500.0, 1000.0, seed=6,
+                                          blocks_per_class=4)
+        session = ba.generate_session(
+            schedule, channels=32, sample_rate=1024.0,
+            drift=ba.DriftParams(), evoked=ba.EvokedParams(),
+            subject_id="s01", seed=6,
+        )
+        matrix = ba.segment(session, 40.0, 440.0)
+        plan = self._plan(matrix)
+        stack_bytes = sum(
+            m.trials.nbytes for m in
+            dsp.zscore(matrix, "train_statistics", plan.train, plan.test)
+        )
+        spec = small_spec(1024.0, classifiers=("knn",))
+        tracemalloc.start()
+        try:
+            cells = _evaluate_group(
+                matrix, [plan], spec, FilterConfig(name="raw"), 440.0,
+                crop_seed=0, train_seeds={(32, "knn"): 0},
+                num_classes=matrix.num_classes,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cells[(32, "knn")].ok
+        assert peak < 1.5 * stack_bytes, (peak, stack_bytes)
 
 
 @pytest.fixture(scope="module")

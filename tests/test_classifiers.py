@@ -145,6 +145,32 @@ class TestSvm:
         assert not gram.w[6:].any()
         np.testing.assert_array_equal(gram.predict(padded), primal.predict(x))
 
+    @pytest.mark.parametrize("n, dim, classes", [
+        (120, 3_000, 40),
+        (400, 43_296, 10),  # c1_grid's within-block fit: 96 ch x 451 samples
+    ], ids=["40_classes", "c1_grid"])
+    def test_gram_weights_equal_the_direct_product(self, monkeypatch, n, dim,
+                                                   classes):
+        # the weights are recovered as (aᵀX)ᵀ; in float32 that must equal
+        # Xᵀa bit for bit
+        fits = []
+        sgd = classifiers._sgd
+
+        def keep_params(params, *args):
+            sgd(params, *args)
+            fits.append(params)
+
+        monkeypatch.setattr(classifiers, "_sgd", keep_params)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((n, dim), dtype=np.float32)
+        y = np.arange(n) % classes
+        model = train_svm(x, y, TrainConfig(seed=1, epochs=1, batch_size=64,
+                                            learning_rate=3e-5))
+        coef = fits[0][0]
+        assert coef.shape == (n, classes) and coef.any()
+        assert model.w.dtype == np.float32 and model.w.flags.c_contiguous
+        assert np.array_equal(model.w, x.T @ coef)
+
     @pytest.mark.parametrize("features", [4, 64], ids=["primal", "gram"])
     def test_divergence_reported_with_config_echo(self, features):
         rng = np.random.default_rng(13)
@@ -165,6 +191,29 @@ class TestSvm:
 def test_every_trainer_rejects_one_class(name, train):
     with pytest.raises(ValueError, match=f"{name} training needs at least 2 classes"):
         train(np.zeros((4, 2), dtype=np.float32), np.zeros(4, dtype=int))
+
+
+@pytest.mark.parametrize("name, train", [
+    ("SVM", lambda x, y: train_svm(x, y, TrainConfig())),
+    ("MLP", lambda x, y: train_mlp(x, y, hidden=2)),
+    ("CNN", lambda x, y: train_cnn1d(
+        x[:, :, None], y, Cnn1dConfig(kernel_len=1, pool_len=1, pool_stride=1))),
+])
+def test_every_trainer_rejects_misaligned_labels(name, train, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit, a worker pool or the BLAS hold was started")
+
+    monkeypatch.setattr(classifiers, "_sgd", refuse)
+    monkeypatch.setattr(classifiers, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(classifiers._OneBlasThread, "__enter__", refuse)
+    x = np.zeros((10, 2), dtype=np.float32)
+    labels = np.arange(10) % 2
+    with pytest.raises(ValueError, match=f"{name} training set has 6 samples "
+                                         f"but 10 labels"):
+        train(x[:6], labels)
+    with pytest.raises(ValueError, match=f"{name} training set has 10 samples "
+                                         f"but 6 labels"):
+        train(x, labels[:6])
 
 
 class TestMlp:

@@ -6,6 +6,7 @@ from blockaudit import (
     TrialMatrix,
     crop_windows,
     fisher_scores,
+    order_channels,
     select_channels,
 )
 from blockaudit.features import DegenerateChannelWarning
@@ -132,15 +133,31 @@ class TestFisher:
 
 
 class TestSelectChannels:
-    def test_full_selection_is_rank_permutation(self):
-        rng = np.random.default_rng(4)
+    @staticmethod
+    def _ordered(seed=4):
+        """(unordered trials, ranking, the matrix put in ranking order)"""
+        rng = np.random.default_rng(seed)
         trials = rng.standard_normal((10, 5, 3))
         labels = rng.integers(0, 2, 10)
         labels[:2] = [0, 1]
-        tm = matrix(trials, labels)
+        tm = matrix(trials.copy(), labels)
         ranking = fisher_scores(tm)
-        out = select_channels(tm, ranking, 5)
-        np.testing.assert_array_equal(out.trials, tm.trials[:, ranking.order, :])
+        order_channels(tm, ranking)
+        return trials, ranking, tm
+
+    def test_full_selection_is_rank_permutation(self):
+        trials, ranking, tm = self._ordered()
+        out = select_channels(tm, 5)
+        np.testing.assert_array_equal(out.trials, trials[:, ranking.order, :])
+        assert np.shares_memory(out.trials, tm.trials)  # no copy
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_prefix_of_ordered_stack_equals_take(self, m):
+        trials, ranking, tm = self._ordered()
+        out = select_channels(tm, m)
+        assert np.array_equal(out.trials, np.take(trials, ranking.order[:m], axis=1))
+        assert out.trials.flags.c_contiguous and not out.trials.flags.writeable
+        assert not np.shares_memory(out.trials, tm.trials)
 
     def test_single_best_channel(self):
         trials = np.zeros((6, 2, 2))
@@ -148,9 +165,12 @@ class TestSelectChannels:
         tm = matrix(trials + np.random.default_rng(5).normal(0, 0.1, (6, 2, 2)),
                     [0, 0, 0, 1, 1, 1])
         ranking = fisher_scores(tm)
-        out = select_channels(tm, ranking, 1)
+        best = tm.trials[:, 1].copy()
+        order_channels(tm, ranking)
+        out = select_channels(tm, 1)
         assert out.channels == 1
         assert ranking.order[0] == 1
+        np.testing.assert_array_equal(out.trials[:, 0], best)
 
     def test_nested_selection_consistent(self):
         rng = np.random.default_rng(6)
@@ -158,23 +178,47 @@ class TestSelectChannels:
         labels = rng.integers(0, 3, 20)
         labels[:3] = [0, 1, 2]
         tm = matrix(trials, labels)
-        ranking = fisher_scores(tm)
-        five = select_channels(tm, ranking, 5)
-        sub_ranking = ChannelRanking(
-            scores=ranking.scores[ranking.order[:5]][np.argsort(np.arange(5))],
-            order=np.arange(5),
-        )
+        order_channels(tm, fisher_scores(tm))
         # top-3 of the top-5 equals top-3 directly
-        three_direct = select_channels(tm, ranking, 3)
-        three_nested = select_channels(five, sub_ranking, 3)
+        three_direct = select_channels(tm, 3)
+        three_nested = select_channels(select_channels(tm, 5), 3)
         np.testing.assert_array_equal(three_direct.trials, three_nested.trials)
 
     def test_m_out_of_range(self):
         tm = matrix(np.zeros((2, 2, 2)), [0, 1])
-        ranking = fisher_scores(matrix(np.random.default_rng(7).normal(
-            size=(4, 2, 2)), [0, 0, 1, 1]))
         with pytest.raises(ValueError, match="out of range"):
-            select_channels(tm, ranking, 3)
+            select_channels(tm, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            select_channels(tm, 0)
+
+
+class TestOrderChannels:
+    def test_reorders_every_trial_and_stays_read_only(self):
+        rng = np.random.default_rng(8)
+        trials = rng.standard_normal((7, 4, 5)).astype(np.float32)
+        tm = matrix(trials, [0, 1] * 3 + [0]).replace(trials=trials.copy())
+        ranking = ChannelRanking(scores=np.arange(4.0), order=[2, 0, 3, 1])
+        stack = tm.trials
+        order_channels(tm, ranking)
+        assert tm.trials is stack
+        assert np.array_equal(stack, trials[:, [2, 0, 3, 1]])
+        assert not stack.flags.writeable
+
+    def test_ranking_of_another_width_raises(self):
+        tm = matrix(np.zeros((2, 3, 2)), [0, 1])
+        ranking = ChannelRanking(scores=np.zeros(2), order=[1, 0])
+        with pytest.raises(ValueError, match="channel count"):
+            order_channels(tm, ranking)
+
+    def test_view_of_another_stack_raises(self):
+        # a prefix view shares the stack it came from; reordering it would
+        # write through to a matrix another caller holds
+        tm = matrix(np.arange(12.0).reshape(2, 3, 2), [0, 1])
+        view = tm.replace(trials=tm.trials[:, :3])
+        ranking = ChannelRanking(scores=np.zeros(3), order=[2, 1, 0])
+        with pytest.raises(ValueError, match="owns its data"):
+            order_channels(view, ranking)
+        np.testing.assert_array_equal(tm.trials, np.arange(12.0).reshape(2, 3, 2))
 
 
 class TestCropWindows:
