@@ -115,6 +115,8 @@ class GridSpec:
                 f"classifiers must be a non-empty subset of {CLASSIFIERS}")
         if self.knn_k < 1:
             raise ValueError(f"knn_k={self.knn_k!r} must be >= 1")
+        if self.mlp_hidden < 1:
+            raise ValueError(f"mlp_hidden={self.mlp_hidden!r} must be >= 1")
         if not self.windows_ms or not self.channel_counts or not self.splits:
             raise ValueError("grid axes must be non-empty")
         if not self.filter_configs:

@@ -163,6 +163,25 @@ def _training_set(train_x, train_y, name: str):
     return x, y, x.dtype if x.dtype in (np.float32, np.float64) else np.float64
 
 
+def _fit_in_row_space(x: np.ndarray, fit, into: np.ndarray | None = None):
+    """Weights ``Xᵀa`` of a linear map trained in the row space of ``x``.
+
+    ``fit(gram)`` trains on the Gram matrix ``K = X Xᵀ`` of the (n, D)
+    training rows and returns the (n, k) coefficients ``a``.  ``K``, and
+    whatever ``fit`` built beside it, are dropped before the weights are
+    recovered as ``(aᵀX)ᵀ``: that equals ``Xᵀa`` bit for bit in float32,
+    and ``Xᵀa`` at 2 OpenBLAS threads faults in a 58 MB buffer at n = 400,
+    D = 43,296.  The weights are added in place to ``into`` and it is
+    returned when given; otherwise they come back as a new C-contiguous array.
+    """
+    coef = fit(x @ x.T)
+    weights = (coef.T @ x).T
+    if into is None:
+        return np.ascontiguousarray(weights)
+    into += weights
+    return into
+
+
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
 # ---------------------------------------------------------------------------
@@ -301,25 +320,27 @@ def train_svm(
         _sgd(model.param_arrays(), n, config, rng,
              lambda idx: model.loss_and_grads(train_x[idx], train_y[idx]), "SVM")
         return model
-    x = train_x.astype(dtype, copy=False)
-    gram = x @ x.T
-    coef = np.zeros((n, classes), dtype=dtype)
     bias = np.zeros(classes, dtype=dtype)
 
-    def step(idx):
-        loss, ds = _score_loss(gram[idx] @ coef + bias, train_y[idx], "hinge")
-        # The loss only feeds the divergence check.  Its L2 term, 0.5·l2·tr(aᵀKa),
-        # would cost n²·C per step, so check the coefficients themselves.
-        if not np.isfinite(coef).all():
-            loss = np.nan
-        grad = l2 * coef
-        grad[idx] += ds  # batch rows are distinct within one permutation
-        return float(loss), [grad, ds.sum(axis=0)]
+    def fit(gram):
+        coef = np.zeros((n, classes), dtype=dtype)
 
-    _sgd([coef, bias], n, config, rng, step, "SVM")
-    # (coef.T @ x).T equals x.T @ coef bit for bit in float32; x.T @ coef at
-    # 2 OpenBLAS threads faults in a 58 MB buffer at n = 400, D = 43,296
-    return LinearModel(np.ascontiguousarray((coef.T @ x).T), bias, l2=l2)
+        def step(idx):
+            loss, ds = _score_loss(gram[idx] @ coef + bias, train_y[idx], "hinge")
+            # The loss only feeds the divergence check.  Its L2 term,
+            # 0.5·l2·tr(aᵀKa), would cost n²·C per step, so check the
+            # coefficients themselves.
+            if not np.isfinite(coef).all():
+                loss = np.nan
+            grad = l2 * coef
+            grad[idx] += ds  # batch rows are distinct within one permutation
+            return float(loss), [grad, ds.sum(axis=0)]
+
+        _sgd([coef, bias], n, config, rng, step, "SVM")
+        return coef
+
+    weights = _fit_in_row_space(train_x.astype(dtype, copy=False), fit)
+    return LinearModel(weights, bias, l2=l2)
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +385,28 @@ class MlpModel:
         return self.logits(x).argmax(axis=1)
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
-        hidden = _sigmoid(x @ self.w1 + self.b1)
+        loss, dhidden, (gb1, gw2, gb2) = self._backprop(x @ self.w1, y)
+        gw1 = x.T @ dhidden
+        if self.weight_decay:
+            loss += 0.5 * self.weight_decay * float(np.sum(self.w1**2))
+            gw1 += self.weight_decay * self.w1
+        return float(loss), [gw1, gb1, gw2, gb2]
+
+    def _backprop(self, pre: np.ndarray, y: np.ndarray):
+        """Loss, d(loss)/d(pre) and the gradients of b1, w2 and b2, given the
+        first layer's pre-activations ``pre = x @ w1`` (before ``b1``).
+        Weight decay enters for ``w2`` only; the caller adds ``w1``'s."""
+        hidden = _sigmoid(pre + self.b1)
         logits = hidden @ self.w2 + self.b2
         loss, dlogits = _softmax_cross_entropy(logits, y)
         gw2 = hidden.T @ dlogits
         gb2 = dlogits.sum(axis=0)
         dhidden = (dlogits @ self.w2.T) * hidden * (1.0 - hidden)
-        gw1 = x.T @ dhidden
         gb1 = dhidden.sum(axis=0)
         if self.weight_decay:
-            loss += 0.5 * self.weight_decay * (
-                float(np.sum(self.w1**2)) + float(np.sum(self.w2**2))
-            )
-            gw1 += self.weight_decay * self.w1
+            loss += 0.5 * self.weight_decay * float(np.sum(self.w2**2))
             gw2 += self.weight_decay * self.w2
-        return float(loss), [gw1, gb1, gw2, gb2]
+        return loss, dhidden, (gb1, gw2, gb2)
 
 
 def train_mlp(
@@ -387,16 +415,65 @@ def train_mlp(
     hidden: int = 128,
     config: TrainConfig = TrainConfig(),
 ) -> MlpModel:
-    """Train the two-layer sigmoid MLP with softmax cross-entropy."""
+    """Train the two-layer sigmoid MLP with softmax cross-entropy.
+
+    ``hidden`` below 1 raises ``ValueError``.  When features outnumber
+    training trials (``D > n``) the first layer trains in Gram space, on the
+    row-space path ``train_svm`` uses.  Every gradient step adds a
+    combination of training rows to ``w1``, so ``w1 = α·w1₀ + Xᵀa`` at every
+    step, with ``w1₀`` the Glorot init, ``a`` an (n, hidden) coefficient
+    matrix starting at zero and ``α`` a scalar starting at 1 whose gradient
+    is ``weight_decay·α`` (it stays exactly 1 without weight decay).  With
+    ``K = X Xᵀ`` and ``P₀ = X w1₀`` built once, batch pre-activations are
+    ``α·P₀[idx] + K[idx] @ a + b1``, and the ``w1`` gradient becomes the
+    backpropagated batch rows of ``a`` plus ``weight_decay·a``.  The
+    iterates equal the primal ones step for step in exact arithmetic; in
+    floating point they differ by rounding only.  Each step then costs
+    O(batch·n·hidden) instead of O(batch·D·hidden) in the first layer,
+    after O(n²·D + n·D·hidden) once.  ``w1`` is recovered in place in the
+    init array.  With ``D <= n`` the primal form is used.
+    """
+    if hidden < 1:
+        raise ValueError(f"MLP hidden={hidden!r} must be >= 1")
     train_x, train_y, dtype = _training_set(train_x, train_y, "MLP")
     classes = int(train_y.max()) + 1
+    n, dim = train_x.shape
     model = MlpModel.init(
-        train_x.shape[1], hidden, classes, seed=config.seed, dtype=dtype,
+        dim, hidden, classes, seed=config.seed, dtype=dtype,
         weight_decay=config.weight_decay,
     )
     rng = np.random.default_rng(config.seed + 1)  # shuffles; init used config.seed
-    _sgd(model.param_arrays(), train_x.shape[0], config, rng,
-         lambda idx: model.loss_and_grads(train_x[idx], train_y[idx]), "MLP")
+    if dim <= n:
+        _sgd(model.param_arrays(), n, config, rng,
+             lambda idx: model.loss_and_grads(train_x[idx], train_y[idx]), "MLP")
+        return model
+    x = train_x.astype(dtype, copy=False)
+    decay = config.weight_decay
+    alpha = np.ones((), dtype=dtype)  # w1 = α·w1₀ + Xᵀa
+
+    def fit(gram):
+        proj = x @ model.w1  # P₀
+        coef = np.zeros((n, hidden), dtype=dtype)
+        init_sq = float(np.sum(model.w1**2)) if decay else 0.0
+
+        def step(idx):
+            loss, dhidden, grads = model._backprop(
+                alpha * proj[idx] + gram[idx] @ coef, train_y[idx])
+            grad = decay * coef
+            grad[idx] += dhidden  # batch rows are distinct within one permutation
+            if decay:  # ‖w1‖² = α²‖w1₀‖² + 2α·Σ(P₀∘a) + Σ(a∘Ka)
+                loss += 0.5 * decay * (
+                    alpha**2 * init_sq + 2.0 * alpha * np.vdot(proj, coef)
+                    + np.vdot(coef, gram @ coef))
+            return float(loss), [decay * alpha, grad, *grads]
+
+        _sgd([alpha, coef, model.b1, model.w2, model.b2], n, config, rng, step,
+             "MLP")
+        if alpha != 1:
+            model.w1 *= alpha
+        return coef
+
+    _fit_in_row_space(x, fit, into=model.w1)
     return model
 
 

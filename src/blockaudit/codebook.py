@@ -175,24 +175,6 @@ def train_ridge_regressor(
     return RidgeRegressor(weights=w, bias=y_mean - x_mean @ w, l2=float(l2))
 
 
-def ridge_objective_gradient_norm(
-    regressor: RidgeRegressor, features: np.ndarray, targets: np.ndarray
-) -> float:
-    """Relative norm of the regularized objective's gradient at the solution.
-
-    Zero (to numerical precision) certifies optimality of the closed form.
-    The objective is mean squared error plus l2 * ||W||^2, bias unpenalized.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    n = x.shape[0]
-    resid = regressor.predict(x) - y
-    gw = 2.0 * (x.T @ resid) / n + 2.0 * regressor.l2 * regressor.weights
-    gb = 2.0 * resid.mean(axis=0)
-    scale = max(np.linalg.norm(regressor.weights), 1.0)
-    return float(np.sqrt(np.sum(gw**2) + np.sum(gb**2)) / scale)
-
-
 def make_clustered_features(
     classes: int,
     per_class: int,

@@ -11,6 +11,7 @@ def pytest_runtest_logreport(report):
 from blockaudit import (
     DriftParams,
     EvokedParams,
+    RidgeRegressor,
     Session,
     TrialEvent,
     generate_session,
@@ -65,3 +66,21 @@ def evoked_session():
                             enabled=True),
         subject_id="s01", seed=9,
     )
+
+
+def ridge_objective_gradient_norm(
+    regressor: RidgeRegressor, features: np.ndarray, targets: np.ndarray
+) -> float:
+    """Relative norm of the regularized objective's gradient at the solution.
+
+    Zero (to numerical precision) certifies optimality of the closed form.
+    The objective is mean squared error plus l2 * ||W||^2, bias unpenalized.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    n = x.shape[0]
+    resid = regressor.predict(x) - y
+    gw = 2.0 * (x.T @ resid) / n + 2.0 * regressor.l2 * regressor.weights
+    gb = 2.0 * resid.mean(axis=0)
+    scale = max(np.linalg.norm(regressor.weights), 1.0)
+    return float(np.sqrt(np.sum(gw**2) + np.sum(gb**2)) / scale)

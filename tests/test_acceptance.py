@@ -244,7 +244,7 @@ class TestCriterion6NumericalOptimization:
         x = rng.standard_normal((120, 16))
         y = rng.standard_normal((120, 8))
         reg = ba.train_ridge_regressor(x, y, l2=1e-2)
-        from blockaudit.codebook import ridge_objective_gradient_norm
+        from conftest import ridge_objective_gradient_norm
 
         assert ridge_objective_gradient_norm(reg, x, y) < 1e-8
 

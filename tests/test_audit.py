@@ -258,6 +258,12 @@ class TestRunGrid:
                 small_spec(256.0), filter_configs=(NOTCH_ARM,), knn_k=0,
             ))
 
+    @pytest.mark.parametrize("hidden", [0, -1])
+    def test_mlp_hidden_below_one_rejected(self, hidden):
+        # a hidden layer of no units scores at chance and reads as no signal
+        with pytest.raises(ValueError, match=f"mlp_hidden={hidden} must be >= 1"):
+            replace(small_spec(256.0), mlp_hidden=hidden)
+
     @pytest.mark.usefixtures("no_filter")
     def test_window_longer_than_event_raises_before_any_filter(
         self, drift_session

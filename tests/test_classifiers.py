@@ -257,6 +257,81 @@ class TestMlp:
             train_mlp(x, y, 8, cfg).w1, train_mlp(x, y, 8, cfg).w1
         )
 
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_hidden_below_one_rejected(self, hidden):
+        # a layer of no units trains a bias-only model that reads as chance
+        x = np.random.default_rng(8).standard_normal((5, 3))
+        with pytest.raises(ValueError, match=f"hidden={hidden} must be >= 1"):
+            train_mlp(x, np.arange(5) % 2, hidden=hidden)
+
+    @staticmethod
+    def _primal_reference(x, y, hidden, cfg):
+        model = MlpModel.init(x.shape[1], hidden, int(y.max()) + 1,
+                              seed=cfg.seed, dtype=x.dtype,
+                              weight_decay=cfg.weight_decay)
+        classifiers._sgd(model.param_arrays(), len(x), cfg,
+                         np.random.default_rng(cfg.seed + 1),
+                         lambda idx: model.loss_and_grads(x[idx], y[idx]), "MLP")
+        return model
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_gram_path_matches_primal_reference(self, weight_decay,
+                                                monkeypatch):
+        # 300 features for 48 trials trains the first layer in Gram space;
+        # the iterates and the step losses equal the primal ones up to rounding
+        losses = []
+        sgd = classifiers._sgd
+
+        def keep_losses(params, n, config, rng, step, name):
+            run = []
+            losses.append(run)
+
+            def logged(idx):
+                loss, grads = step(idx)
+                run.append(loss)
+                return loss, grads
+
+            sgd(params, n, config, rng, logged, name)
+
+        monkeypatch.setattr(classifiers, "_sgd", keep_losses)
+        rng = np.random.default_rng(15)
+        y = np.arange(48) % 3
+        x = rng.standard_normal((48, 300)) + 1.5 * np.eye(3, 300)[y]
+        cfg = TrainConfig(seed=4, epochs=20, batch_size=16, learning_rate=5e-2,
+                          weight_decay=weight_decay)
+        gram = train_mlp(x, y, hidden=8, config=cfg)
+        primal = self._primal_reference(x, y, 8, cfg)
+        for got, want in zip(gram.param_arrays(), primal.param_arrays()):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            np.testing.assert_allclose(got, want, rtol=1e-9)
+        assert not np.allclose(primal.w1, MlpModel.init(
+            300, 8, 3, seed=4, dtype=np.float64).w1, rtol=1e-3)
+        np.testing.assert_array_equal(gram.predict(x), primal.predict(x))
+        assert len(losses) == 2 and len(losses[0]) == 20 * 3
+        np.testing.assert_allclose(losses[0], losses[1], rtol=1e-9)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_primal_path_equals_reference_bit_for_bit(self, weight_decay):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((60, 60))
+        y = np.arange(60) % 4
+        cfg = TrainConfig(seed=2, epochs=5, batch_size=16, learning_rate=1e-2,
+                          weight_decay=weight_decay)
+        model = train_mlp(x, y, hidden=6, config=cfg)
+        reference = self._primal_reference(x, y, 6, cfg)
+        for got, want in zip(model.param_arrays(), reference.param_arrays()):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gram_path_divergence_reported(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((32, 64))
+        x[5, 0] = np.nan
+        y = np.arange(32) % 2
+        with pytest.raises(TrainingDiverged, match="epochs"):
+            train_mlp(x, y, hidden=8,
+                      config=TrainConfig(seed=0, epochs=5, batch_size=8,
+                                         learning_rate=1e-2))
+
 
 class TestCnnShapes:
     def test_conv_length_440(self):

@@ -10,7 +10,8 @@ from blockaudit import (
     train_ridge_regressor,
     transfer_svm_compare,
 )
-from blockaudit.codebook import ridge_objective_gradient_norm
+from blockaudit import codebook
+from conftest import ridge_objective_gradient_norm
 
 
 class TestGenerateCodebook:
@@ -103,6 +104,10 @@ class TestRidge:
         np.testing.assert_allclose(
             reg.predict(x), np.tile(y.mean(axis=0), (100, 1)), atol=1e-4
         )
+
+    def test_gradient_norm_is_a_test_helper(self):
+        # nothing outside the tests calls it, so the package does not ship it
+        assert not hasattr(codebook, "ridge_objective_gradient_norm")
 
     def test_solution_is_stationary_point(self):
         rng = np.random.default_rng(8)
