@@ -50,7 +50,6 @@ from .classifiers import (
     MlpModel,
     TrainConfig,
     evaluate_accuracy,
-    gradient_check,
     train_cnn1d,
     train_mlp,
     train_svm,

@@ -24,7 +24,7 @@ enter the derivation, so ablations are exactly paired.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from enum import Enum
 from itertools import product
 from typing import Sequence
@@ -69,15 +69,20 @@ class SplitSpec:
 @dataclass(frozen=True)
 class FilterConfig:
     """A preprocessing arm: filters applied zero-phase to the whole session
-    before it is cut into trials, plus the z-score scope."""
+    before it is cut into trials.  Every arm z-scores with training
+    statistics; ``zscore_scope`` is kept only as a keyword that accepts
+    that one value, and is not a field."""
 
     name: str
     filters: tuple[dsp.FilterSpec, ...] = ()
-    zscore_scope: str = "train_statistics"
+    zscore_scope: InitVar[str] = "train_statistics"
 
-    def __post_init__(self):
-        if self.zscore_scope not in dsp.ZSCORE_SCOPES:
-            raise ValueError(f"unknown zscore scope {self.zscore_scope!r}")
+    def __post_init__(self, zscore_scope):
+        if zscore_scope != "train_statistics":
+            raise ValueError(
+                f"zscore_scope={zscore_scope!r}: every arm z-scores with "
+                "train_statistics"
+            )
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,8 @@ class GridSpec:
             raise ValueError(f"knn_k={self.knn_k!r} must be >= 1")
         if self.mlp_hidden < 1:
             raise ValueError(f"mlp_hidden={self.mlp_hidden!r} must be >= 1")
+        if not 0 <= self.svm_l2 < float("inf"):
+            raise ValueError(f"svm_l2={self.svm_l2!r} must be finite and >= 0")
         if not self.windows_ms or not self.channel_counts or not self.splits:
             raise ValueError("grid axes must be non-empty")
         if not self.filter_configs:
@@ -445,7 +452,6 @@ def _evaluate_group(
     base: TrialMatrix,
     plans: list[splits_mod.SplitPlan],
     spec: GridSpec,
-    fc: FilterConfig,
     window_ms: float,
     crop_seed: int,
     train_seeds: dict[tuple[int, str], int],
@@ -467,10 +473,10 @@ def _evaluate_group(
 
     for plan in plans:
         test_ids = cropped.trial_indices[plan.test]
-        # the train_statistics z-score and the Fisher ranking read these rows
+        # the z-score statistics and the Fisher ranking read these rows
         _check_no_leakage(cropped.trial_indices[plan.train], test_ids)
         try:
-            train, test = dsp.zscore(cropped, fc.zscore_scope, plan.train, plan.test)
+            train, test = dsp.zscore(cropped, plan.train, plan.test)
             ranking = features.fisher_scores(train)
             # zscore gathered these two stacks for this plan alone; never
             # reorder base or cropped, which is base at full width
@@ -508,6 +514,8 @@ def run_grid(data: Session | Sequence[Session], spec: GridSpec) -> GridResult:
     The split plans come from :func:`check_grid`, so a grid it rejects
     raises before any filter runs; after that, cell failures are recorded
     in the cell, never raised, and a leakage violation is always raised.
+    The C distinct class labels are renumbered 0..C-1 in label order
+    before any fit, so chance is 1/C however the classes are numbered.
     """
     sessions = _sessions(data)
     plans = check_grid(sessions, spec)
@@ -515,8 +523,10 @@ def run_grid(data: Session | Sequence[Session], spec: GridSpec) -> GridResult:
         concat_trials([_filter_and_segment(s, fc, spec) for s in sessions])
         for fc in spec.filter_configs
     ]
+    classes, labels = np.unique(bases[0].labels, return_inverse=True)
+    bases = [b.replace(labels=labels) for b in bases]
     ref = bases[0]
-    num_classes = int(ref.labels.max()) + 1
+    num_classes = classes.size
     # 0 means all channels; a count that repeats once resolved is evaluated
     # once, under the training-seed index of its last occurrence
     channel_index = {
@@ -537,7 +547,7 @@ def run_grid(data: Session | Sequence[Session], spec: GridSpec) -> GridResult:
             )
         }
         group = _evaluate_group(
-            bases[fi], plans[si], spec, fc, w,
+            bases[fi], plans[si], spec, w,
             crop_seed=_derive_seed(spec.seed, _SEED_CROP, wi),
             train_seeds=train_seeds,
             num_classes=num_classes,

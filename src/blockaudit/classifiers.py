@@ -1,9 +1,9 @@
 """From-scratch classifiers: k-NN, linear SVM, MLP, and a 1-D CNN.
 
 All training is plain mini-batch stochastic gradient descent with momentum,
-fully seeded, in numpy.  Every differentiable model exposes
-``loss_and_grads`` (dropout disabled) so its backward pass can be verified
-against central finite differences with :func:`gradient_check`.
+fully seeded, in numpy.  Every gradient-trained model exposes
+``loss_and_grads`` (dropout disabled) and ``param_arrays``, so its backward
+pass can be checked against central finite differences.
 
 Trained models are immutable in practice (weights are not mutated after
 training) and safe to share for inference.
@@ -103,10 +103,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        # NaN fails every comparison, so each range is written to reject it
+        for name, ok, want in (
+            ("learning_rate", 0 < self.learning_rate < np.inf, "finite and > 0"),
+            ("momentum", 0 <= self.momentum <= 1, "in [0, 1]"),
+            ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}={getattr(self, name)!r} must be {want}")
 
 
 def _glorot_uniform(rng, fan_in: int, fan_out: int, shape, dtype):
@@ -236,21 +242,14 @@ class KnnModel:
 # ---------------------------------------------------------------------------
 
 class LinearModel:
-    """Per-class linear scores; prediction is the argmax.
+    """Per-class linear scores; prediction is the argmax.  Its loss is the
+    one-vs-rest SVM objective: hinge loss summed over classes plus
+    ``0.5 * l2 * ||W||^2``."""
 
-    ``loss_kind="hinge"`` is the one-vs-rest SVM objective used for
-    training; ``loss_kind="squared"`` is the differentiable variant used by
-    gradient checking.
-    """
-
-    def __init__(self, weights: np.ndarray, biases: np.ndarray,
-                 l2: float = 0.0, loss_kind: str = "hinge"):
-        if loss_kind not in ("hinge", "squared"):
-            raise ValueError(f"unknown loss_kind {loss_kind!r}")
+    def __init__(self, weights: np.ndarray, biases: np.ndarray, l2: float = 0.0):
         self.w = np.asarray(weights)
         self.b = np.asarray(biases)
         self.l2 = float(l2)
-        self.loss_kind = loss_kind
 
     @classmethod
     def zeros(cls, dim: int, classes: int, dtype=np.float64, **kw) -> "LinearModel":
@@ -267,24 +266,22 @@ class LinearModel:
         return [self.w, self.b]
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
-        loss, ds = _score_loss(self.scores(x), y, self.loss_kind)
+        loss, ds = _score_loss(self.scores(x), y)
         loss += 0.5 * self.l2 * float(np.einsum("dc,dc->", self.w, self.w))
         gw = x.T @ ds + self.l2 * self.w
         gb = ds.sum(axis=0)
         return float(loss), [gw, gb]
 
 
-def _score_loss(s: np.ndarray, y: np.ndarray, kind: str):
-    """Mean one-vs-rest loss of the (n, C) scores and d(loss)/d(scores)."""
+def _score_loss(s: np.ndarray, y: np.ndarray):
+    """Mean one-vs-rest hinge loss of the (n, C) scores and a subgradient
+    d(loss)/d(scores)."""
     n = s.shape[0]
     targets = -np.ones(s.shape, dtype=s.dtype)
     targets[np.arange(n), y] = 1.0
-    if kind == "hinge":
-        margins = 1.0 - targets * s
-        loss = np.maximum(margins, 0.0).sum(axis=1).mean()
-        return loss, np.where(margins > 0, -targets, 0.0) / n
-    diff = s - targets
-    return 0.5 * np.einsum("nc,nc->", diff, diff) / n, diff / n
+    margins = 1.0 - targets * s
+    loss = np.maximum(margins, 0.0).sum(axis=1).mean()
+    return loss, np.where(margins > 0, -targets, 0.0) / n
 
 
 def train_svm(
@@ -326,7 +323,7 @@ def train_svm(
         coef = np.zeros((n, classes), dtype=dtype)
 
         def step(idx):
-            loss, ds = _score_loss(gram[idx] @ coef + bias, train_y[idx], "hinge")
+            loss, ds = _score_loss(gram[idx] @ coef + bias, train_y[idx])
             # The loss only feeds the divergence check.  Its L2 term,
             # 0.5·l2·tr(aᵀKa), would cost n²·C per step, so check the
             # coefficients themselves.
@@ -804,36 +801,8 @@ def train_cnn1d(
 
 
 # ---------------------------------------------------------------------------
-# Verification and evaluation
+# Evaluation
 # ---------------------------------------------------------------------------
-
-def gradient_check(
-    model, x: np.ndarray, y: np.ndarray, epsilon: float = 1e-3,
-    floor: float = 1e-8,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The instance must be small enough to perturb every parameter; dropout is
-    disabled throughout.  Relative error for one parameter is
-    ``|analytic - numeric| / max(|analytic|, |numeric|, floor)``.
-    """
-    _, grads = model.loss_and_grads(x, y)
-    worst = 0.0
-    for p, g in zip(model.param_arrays(), grads):
-        flat = p.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up = model.loss_and_grads(x, y)[0]
-            flat[i] = orig - epsilon
-            down = model.loss_and_grads(x, y)[0]
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(abs(gflat[i]), abs(numeric), floor)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return worst
-
 
 def evaluate_accuracy(model, x: np.ndarray, y: np.ndarray,
                       num_classes: int | None = None):

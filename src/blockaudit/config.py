@@ -86,7 +86,6 @@ _GRID_SCHEMA = {
                 "properties": {
                     "name": {"type": "string"},
                     "filters": {"type": "array", "items": _FILTER_SCHEMA},
-                    "zscore_scope": {"enum": list(dsp.ZSCORE_SCOPES)},
                 },
                 "required": ["name"],
                 "additionalProperties": False,

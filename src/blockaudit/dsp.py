@@ -291,97 +291,72 @@ def rereference(session: Session, reference_channels: list[int]) -> Session:
 # Normalization
 # ---------------------------------------------------------------------------
 
-ZSCORE_SCOPES = ("train_statistics", "per_trial_channel")
-
 # bytes of float64 deviations held at once while taking a z-score's variance
 _CHUNK_BYTES = 2**19
 
 
-def _mean_std(part: np.ndarray, per_trial: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 mean and population std of ``part``, per trial and channel or
-    per channel over all rows.  The std is two-pass, so it does not cancel
-    on DC offsets; its squared deviations are taken a few trials at a time
-    in one reused float64 buffer of at most ``_CHUNK_BYTES``."""
-    mean = part.mean(axis=2 if per_trial else (0, 2), keepdims=True,
-                     dtype=np.float64)
-    row_mean = np.broadcast_to(mean, part.shape[:2] + (1,))
+def _mean_std(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 per-channel mean and population std of ``part`` over all its
+    rows and samples.  The std is two-pass, so it does not cancel on DC
+    offsets; its squared deviations are taken a few trials at a time in one
+    reused float64 buffer of at most ``_CHUNK_BYTES``."""
+    mean = part.mean(axis=(0, 2), keepdims=True, dtype=np.float64)
     step = max(1, _CHUNK_BYTES // (part[0].size * 8))
     buf = np.empty((min(step, len(part)),) + part.shape[1:])
-    sq = np.empty(row_mean.shape)
+    sq = np.empty(part.shape[:2] + (1,))
     for s in range(0, len(part), step):
         chunk = part[s:s + step]
-        d = np.subtract(chunk, row_mean[s:s + step], out=buf[:len(chunk)])
+        d = np.subtract(chunk, mean, out=buf[:len(chunk)])
         d *= d
         d.sum(axis=2, keepdims=True, out=sq[s:s + step])
-    if not per_trial:
-        sq = sq.sum(axis=0, keepdims=True)
-    return mean, np.sqrt(sq / (part.size // mean.size))
+    return mean, np.sqrt(sq.sum(axis=0, keepdims=True) / (part.size // mean.size))
 
 
 def zscore(
-    trials: TrialMatrix,
-    scope: str = "per_trial_channel",
-    train: np.ndarray | None = None,
-    test: np.ndarray | None = None,
-) -> tuple[TrialMatrix, TrialMatrix | None]:
-    """Standardize the ``train`` rows and the ``test`` rows of ``trials`` to
-    zero mean, unit population std; return them as ``(train, test)``.
+    trials: TrialMatrix, train: np.ndarray, test: np.ndarray
+) -> tuple[TrialMatrix, TrialMatrix]:
+    """Standardize the ``train`` rows and the ``test`` rows of ``trials``
+    with training statistics; return them as ``(train, test)``.
 
-    One normalization, two ways to take its statistics.
-    ``per_trial_channel`` takes a mean and std per trial and channel over
-    the trial's own window.  ``train_statistics`` takes one mean and std per
-    channel over all samples of the ``train`` rows and applies them to the
-    train and the test rows alike, which is the leakage-safe scope for
-    split-based evaluation.  Only those rows are normalized: each set is
-    gathered once and normalized in place, and rows in neither set (a
-    split's validation share, say) are never read.  The statistics
-    accumulate in float64 a few trials at a time, so no float64 copy of the
-    trials is made; normalization stays in the data dtype.  ``train``
-    defaults to every row, except under ``train_statistics``; without
-    ``test`` the second result is None.  A zero std maps its values to zeros
-    and raises a :class:`ConstantChannelWarning` instead of dividing by
-    zero.  Float32 and float64 trials keep their dtype; any other dtype
-    (integer trials, say) is gathered as float64.
+    One mean and one population std per channel are taken over all samples
+    of the ``train`` rows and applied to the train and the test rows alike,
+    so no statistic of a test row reaches either set.  Only those rows are
+    normalized: each set is gathered once and normalized in place, and rows
+    in neither set (a split's validation share, say) are never read.  The
+    statistics accumulate in float64 a few trials at a time, so no float64
+    copy of the trials is made; normalization stays in the data dtype.  A
+    zero std maps its channel to zeros and raises a
+    :class:`ConstantChannelWarning` instead of dividing by zero.  Float32
+    and float64 trials keep their dtype; any other dtype (integer trials,
+    say) is gathered as float64.
     """
     if trials.num_trials == 0:
         raise ValueError("empty trial matrix")
-    if scope not in ZSCORE_SCOPES:
-        raise ValueError(f"unknown zscore scope {scope!r}")
-    per_trial = scope == "per_trial_channel"
-    if per_trial:
-        what = "trial-channel(s)"
-        if train is None:
-            train = np.arange(trials.num_trials)
-    else:
-        if train is None:
-            raise ValueError("train_statistics scope needs train rows")
-        what = "channel(s) in the training statistics"
-    rows = [np.asarray(r, dtype=np.int64) for r in (train, test) if r is not None]
+    rows = [np.asarray(r, dtype=np.int64) for r in (train, test)]
     if rows[0].size == 0:
         raise ValueError("train rows are empty")
     x = trials.trials
     dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
     out = []
-    constant = 0
-    for i, idx in enumerate(rows):
+    for idx in rows:
         part = x.take(idx, axis=0).astype(dtype, copy=False)
-        if i == 0 or per_trial:
-            mean, std = _mean_std(part, per_trial)
-            degenerate = std == 0.0
-            constant += int(degenerate.sum())
+        if not out:  # the statistics come from the train rows alone
+            mean, std = _mean_std(part)
+            constant = std == 0.0
         # normalization stays in the data dtype, in place
         part -= mean.astype(dtype)
-        part /= np.where(degenerate, 1.0, std).astype(dtype)
-        if degenerate.any():
-            np.copyto(part, 0.0, where=degenerate)
+        part /= np.where(constant, 1.0, std).astype(dtype)
+        if constant.any():
+            np.copyto(part, 0.0, where=constant)
         out.append(trials.take(idx, trials=part))
-    if constant:
+    if constant.any():
         warnings.warn(
-            f"{constant} constant {what} z-scored to zeros",
+            f"{int(constant.sum())} constant channel(s) in the training "
+            "statistics z-scored to zeros",
             ConstantChannelWarning,
             stacklevel=2,
         )
-    return out[0], (out[1] if test is not None else None)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

@@ -84,3 +84,31 @@ def ridge_objective_gradient_norm(
     gb = 2.0 * resid.mean(axis=0)
     scale = max(np.linalg.norm(regressor.weights), 1.0)
     return float(np.sqrt(np.sum(gw**2) + np.sum(gb**2)) / scale)
+
+
+def gradient_check(
+    model, x: np.ndarray, y: np.ndarray, epsilon: float = 1e-3,
+    floor: float = 1e-8,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    The instance must be small enough to perturb every parameter; dropout is
+    disabled throughout.  Relative error for one parameter is
+    ``|analytic - numeric| / max(|analytic|, |numeric|, floor)``.
+    """
+    _, grads = model.loss_and_grads(x, y)
+    worst = 0.0
+    for p, g in zip(model.param_arrays(), grads):
+        flat = p.reshape(-1)
+        gflat = np.asarray(g).reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            up = model.loss_and_grads(x, y)[0]
+            flat[i] = orig - epsilon
+            down = model.loss_and_grads(x, y)[0]
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * epsilon)
+            denom = max(abs(gflat[i]), abs(numeric), floor)
+            worst = max(worst, abs(gflat[i] - numeric) / denom)
+    return worst

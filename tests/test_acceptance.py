@@ -22,6 +22,8 @@ from blockaudit import dsp, splits as sp
 from blockaudit.cli import main as cli_main
 from blockaudit.config import DEFAULTS, build_grid_spec
 
+from conftest import gradient_check
+
 CHANCE40 = 1.0 / 40.0
 
 
@@ -223,7 +225,7 @@ class TestCriterion6NumericalOptimization:
         x = rng.standard_normal((6, 5))
         y = rng.integers(0, 3, 6)
         model = ba.MlpModel.init(5, 7, 3, seed=1, weight_decay=1e-3)
-        assert ba.gradient_check(model, x, y, epsilon=1e-3) < 1e-4
+        assert gradient_check(model, x, y, epsilon=1e-3) < 1e-4
 
     def test_cnn_gradient_check(self):
         rng = np.random.default_rng(1)
@@ -232,7 +234,7 @@ class TestCriterion6NumericalOptimization:
         model = ba.Cnn1dModel(cfg, channels=2, width=16, seed=2)
         x = rng.standard_normal((4, 2, 16))
         y = rng.integers(0, 3, 4)
-        assert ba.gradient_check(model, x, y, epsilon=1e-3) < 1e-4
+        assert gradient_check(model, x, y, epsilon=1e-3) < 1e-4
 
     def test_cnn_forward_shapes(self):
         cfg = ba.Cnn1dConfig(classes=40)
@@ -354,8 +356,8 @@ class TestCriterion9DeterminismAndLeakage:
             test=np.arange(5),
         )
         with pytest.raises(LeakageError):
-            _evaluate_group(matrix, [rigged], spec, spec.filter_configs[0],
-                            440.0, crop_seed=0, train_seeds={(0, "knn"): 0},
+            _evaluate_group(matrix, [rigged], spec, 440.0, crop_seed=0,
+                            train_seeds={(0, "knn"): 0},
                             num_classes=matrix.num_classes)
 
 

@@ -1,5 +1,6 @@
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -106,7 +107,7 @@ class TestRunGrid:
         plan = sp.split_within_block(
             matrix, (0.8, 0.1, 0.1), _derive_seed(spec.seed, _SEED_SPLIT, 0)
         )
-        train, test = dsp.zscore(matrix, "train_statistics", plan.train, plan.test)
+        train, test = dsp.zscore(matrix, plan.train, plan.test)
         ranking = features.fisher_scores(train)
         train, test = (m.replace(trials=np.take(m.trials, ranking.order[:4], axis=1))
                        for m in (train, test))
@@ -224,6 +225,18 @@ class TestRunGrid:
         with pytest.raises(ValueError, match=message):
             run_grid(session, spec)
 
+    def test_class_numbering_leaves_the_grid_unchanged(self, drift_session):
+        # labels 1, 3, ..., 11 name the same six classes as 0..5, so chance
+        # stays 1/6 and every cell is the same
+        shifted = replace(drift_session, events=tuple(
+            replace(ev, class_label=2 * ev.class_label + 1)
+            for ev in drift_session.events
+        ))
+        spec = small_spec(256.0, classifiers=("knn", "svm", "mlp"))
+        expected = run_grid(drift_session, spec).to_dict()
+        assert {c["num_classes"] for c in expected["cells"]} == {6}
+        assert run_grid(shifted, spec).to_dict() == expected
+
     @pytest.mark.usefixtures("no_filter")
     def test_cnn_kernel_longer_than_window_raises_before_any_filter(
         self, drift_session
@@ -241,14 +254,16 @@ class TestRunGrid:
         # a grid without cnn1d may keep the short window
         ba.audit.check_grid(drift_session, replace(spec, classifiers=("knn",)))
 
-    @pytest.mark.usefixtures("no_filter")
-    def test_bad_zscore_scope_raises_before_any_filter(self, drift_session):
-        # it used to pass filtering and then fail every cell
-        with pytest.raises(ValueError, match="unknown zscore scope 'bogus'"):
-            run_grid(drift_session, replace(
-                small_spec(256.0),
-                filter_configs=(replace(NOTCH_ARM, zscore_scope="bogus"),),
-            ))
+    def test_bad_zscore_scope_raises_before_any_filter(self):
+        # every arm z-scores with training statistics: the keyword accepts
+        # that one value, and the arm is rejected before a grid can hold it
+        for scope in ("per_trial_channel", "bogus"):
+            with pytest.raises(ValueError,
+                               match=f"zscore_scope='{scope}': every arm"):
+                replace(NOTCH_ARM, zscore_scope=scope)
+        arm = FilterConfig("x", zscore_scope="train_statistics")
+        assert arm == FilterConfig("x")
+        assert "zscore_scope" not in asdict(arm)
 
     @pytest.mark.usefixtures("no_filter")
     def test_knn_k_below_one_raises_before_any_filter(self, drift_session):
@@ -257,6 +272,12 @@ class TestRunGrid:
             run_grid(drift_session, replace(
                 small_spec(256.0), filter_configs=(NOTCH_ARM,), knn_k=0,
             ))
+
+    @pytest.mark.parametrize("l2", [-1.0, float("nan"), float("inf")])
+    def test_svm_l2_outside_the_schema_rejected(self, l2):
+        # a negative penalty used to train the SVM silently
+        with pytest.raises(ValueError, match=re.escape(f"svm_l2={l2!r}")):
+            replace(small_spec(256.0), svm_l2=l2)
 
     @pytest.mark.parametrize("hidden", [0, -1])
     def test_mlp_hidden_below_one_rejected(self, hidden):
@@ -337,10 +358,8 @@ class TestGridSpec:
         ("channel_counts", (0, 4, 4), "4"),
         ("splits", (SplitSpec(sp.WITHIN_BLOCK),
                     SplitSpec(sp.WITHIN_BLOCK, (0.6, 0.2, 0.2))), "'within_block'"),
-        ("filter_configs", (FilterConfig(name="raw"),
-                            FilterConfig(name="raw",
-                                         zscore_scope="per_trial_channel")),
-         "'raw'"),
+        ("filter_configs", (NOTCH_ARM, replace(NOTCH_ARM, filters=())),
+         "'notch'"),
     ], ids=["classifiers", "windows_ms", "channel_counts", "splits",
             "filter_configs"])
     def test_repeated_axis_entry_rejected(self, axis, values, shown):
@@ -415,7 +434,7 @@ class TestLeakageGuard:
         spec = small_spec(256.0, classifiers=("knn",))
         with pytest.raises(LeakageError):
             _evaluate_group(
-                matrix, [rigged], spec, spec.filter_configs[0], 440.0,
+                matrix, [rigged], spec, 440.0,
                 crop_seed=0, train_seeds={(0, "knn"): 0},
                 num_classes=matrix.num_classes,
             )
@@ -446,7 +465,7 @@ class TestChannelOrderInPlace:
                                                          monkeypatch):
         matrix = ba.segment(drift_session, 40.0, 440.0)
         plan = self._plan(matrix)
-        train, test = dsp.zscore(matrix, "train_statistics", plan.train, plan.test)
+        train, test = dsp.zscore(matrix, plan.train, plan.test)
         order = features.fisher_scores(train).order
         seen = {}
         fit_and_score = audit_mod._CellAccumulator.fit_and_score
@@ -458,7 +477,7 @@ class TestChannelOrderInPlace:
         monkeypatch.setattr(audit_mod._CellAccumulator, "fit_and_score", record)
         spec = small_spec(256.0, classifiers=("knn",))
         _evaluate_group(
-            matrix, [plan], spec, FilterConfig(name="raw"), 440.0, crop_seed=0,
+            matrix, [plan], spec, 440.0, crop_seed=0,
             train_seeds={(16, "knn"): 0, (8, "knn"): 1, (1, "knn"): 2},
             num_classes=matrix.num_classes,
         )
@@ -472,8 +491,8 @@ class TestChannelOrderInPlace:
         before = matrix.trials.tobytes()
         spec = small_spec(256.0, classifiers=("knn",))
         cells = _evaluate_group(
-            matrix, [self._plan(matrix)], spec, FilterConfig(name="raw"),
-            440.0, crop_seed=0, train_seeds={(16, "knn"): 0, (8, "knn"): 1},
+            matrix, [self._plan(matrix)], spec, 440.0, crop_seed=0,
+            train_seeds={(16, "knn"): 0, (8, "knn"): 1},
             num_classes=matrix.num_classes,
         )
         assert all(cell.ok for cell in cells.values())
@@ -497,14 +516,14 @@ class TestChannelOrderInPlace:
         plan = self._plan(matrix)
         stack_bytes = sum(
             m.trials.nbytes for m in
-            dsp.zscore(matrix, "train_statistics", plan.train, plan.test)
+            dsp.zscore(matrix, plan.train, plan.test)
         )
         spec = small_spec(1024.0, classifiers=("knn",))
         tracemalloc.start()
         try:
             cells = _evaluate_group(
-                matrix, [plan], spec, FilterConfig(name="raw"), 440.0,
-                crop_seed=0, train_seeds={(32, "knn"): 0},
+                matrix, [plan], spec, 440.0, crop_seed=0,
+                train_seeds={(32, "knn"): 0},
                 num_classes=matrix.num_classes,
             )
             _, peak = tracemalloc.get_traced_memory()
@@ -629,10 +648,7 @@ class TestHighpassAblation:
             assert p_better >= 0.01
 
     def test_ablated_arms_keep_their_settings(self, drift_session, monkeypatch):
-        arms = (FilterConfig(name="notch",
-                             filters=(FilterSpec.notch(49.0, 51.0, 256.0, 2),),
-                             zscore_scope="per_trial_channel"),
-                FilterConfig(name="raw"))
+        arms = (NOTCH_ARM, FilterConfig(name="raw"))
         spec = replace(small_spec(256.0), filter_configs=arms)
         seen = []
         monkeypatch.setattr(ba.audit, "run_grid",
@@ -641,7 +657,6 @@ class TestHighpassAblation:
         baseline, ablated = seen
         assert baseline == arms
         for base, arm in zip(arms, ablated):
-            assert arm.zscore_scope == base.zscore_scope
             assert arm == replace(base, filters=arm.filters[:1] + base.filters)
 
     def test_cutoff_validation(self, drift_session):

@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -14,13 +15,14 @@ from blockaudit import (
     MlpModel,
     TrainConfig,
     evaluate_accuracy,
-    gradient_check,
     train_cnn1d,
     train_mlp,
     train_svm,
 )
 from blockaudit import classifiers
 from blockaudit.classifiers import _CHUNK_BYTES, TrainingDiverged
+
+from conftest import gradient_check
 
 
 class TestKnn:
@@ -214,6 +216,23 @@ def test_every_trainer_rejects_misaligned_labels(name, train, monkeypatch):
     with pytest.raises(ValueError, match=f"{name} training set has 10 samples "
                                          f"but 6 labels"):
         train(x, labels[:6])
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", 0.0),
+        ("learning_rate", float("inf")),
+        ("momentum", 1.5), ("momentum", -0.5), ("momentum", float("nan")),
+        ("weight_decay", -1.0), ("weight_decay", float("nan")),
+    ])
+    def test_setting_outside_the_schema_rejected(self, field, value):
+        # each used to fail late, once per cell, or train silently
+        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r}")):
+            TrainConfig(**{field: value})
+
+    def test_schema_edges_accepted(self):
+        TrainConfig(momentum=0.0, weight_decay=0.0)
+        TrainConfig(momentum=1.0)
 
 
 class TestMlp:
@@ -495,14 +514,23 @@ class TestGradientChecks:
         for g in grads:
             assert np.isfinite(g).all()
 
-    def test_linear_squared_loss_gradients(self):
+    def test_linear_hinge_loss_gradients(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((6, 5))
         y = rng.integers(0, 3, 6)
         model = LinearModel(rng.standard_normal((5, 3)),
-                            rng.standard_normal(3), l2=1e-2,
-                            loss_kind="squared")
-        assert gradient_check(model, x, y, epsilon=1e-4) < 1e-6
+                            rng.standard_normal(3), l2=1e-2)
+        epsilon = 1e-4
+        # the hinge is differentiable away from its kink, and a step of
+        # epsilon in one parameter moves a score by at most epsilon * max|x|
+        targets = np.where(np.arange(3) == y[:, None], 1.0, -1.0)
+        margins = 1.0 - targets * model.scores(x)
+        assert np.abs(margins).min() > 10 * epsilon * np.abs(x).max()
+        assert gradient_check(model, x, y, epsilon=epsilon) < 1e-6
+
+    def test_gradient_check_is_a_test_helper(self):
+        # nothing outside the tests calls it, so the package does not ship it
+        assert not hasattr(classifiers, "gradient_check")
 
     def test_zero_input_zero_first_layer_gradient(self):
         model = MlpModel.init(4, 6, 3, seed=4)

@@ -159,8 +159,8 @@ class TestAudit:
             ).read_bytes(), name
 
     def test_manifest_records_the_resolved_grid(self, session_dir, tmp_path):
-        # the config leaves out a split's fractions, an arm's zscore_scope
-        # and a filter's order; the manifest records what ran
+        # the config leaves out a split's fractions and a filter's order;
+        # the manifest records what ran
         grid = dict(
             AUDIT_GRID,
             splits=[{"regime": "within_block"}, AUDIT_GRID["splits"][1]],
@@ -180,7 +180,7 @@ class TestAudit:
             audit_mod.SplitSpec("within_block").fractions
         )
         arm = recorded["filter_configs"][0]
-        assert arm["zscore_scope"] == audit_mod.FilterConfig("x").zscore_scope
+        assert "zscore_scope" not in arm
         assert arm["filters"] == [
             {"kind": "lowpass", "order": 2, "low_hz": None, "high_hz": 100},
         ]
@@ -211,7 +211,9 @@ class TestAudit:
         (("grid",), "base_window_ms", None),
         (("grid", "filter_configs", 0), "mode", "zero_phase"),
         (("grid", "filter_configs", 0), "zscore_stage", "after_filter"),
-    ], ids=["fisher_feature", "base_window_ms", "mode", "zscore_stage"])
+        (("grid", "filter_configs", 0), "zscore_scope", "train_statistics"),
+    ], ids=["fisher_feature", "base_window_ms", "mode", "zscore_stage",
+            "zscore_scope"])
     def test_manifest_with_removed_grid_key_rejected(
         self, report_dir, tmp_path, capsys, path, key, old_default
     ):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockaudit import audit, dsp, splits as sp
+from blockaudit import audit, splits as sp
 from blockaudit.classifiers import TrainConfig
 from blockaudit.config import (
     DEFAULTS,
@@ -65,7 +65,6 @@ def grid_specs(draw):
             audit.FilterConfig(
                 name,
                 tuple(draw(st.lists(filter_specs(rate), max_size=2))),
-                draw(st.sampled_from(dsp.ZSCORE_SCOPES)),
             )
             for name in names
         ),

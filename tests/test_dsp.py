@@ -343,36 +343,16 @@ class TestRereference:
             rereference(tiny_session, [5])
 
 
+# one case, under the id it had while zscore also took a per-trial scope
+_TRAIN_AXES = pytest.mark.parametrize("axes", [(0, 2)],
+                                      ids=["train_statistics-axes1"])
+
+
 class TestZscore:
-    def test_two_point_channel(self):
-        tm = _matrix(np.array([[[1.0, 3.0]]]))
-        out, _ = zscore(tm, "per_trial_channel")
-        np.testing.assert_allclose(out.trials[0, 0], [-1.0, 1.0])
-
-    def test_constant_channel_zeroed_with_warning(self):
-        tm = _matrix(np.full((1, 1, 8), 7.0))
-        with pytest.warns(ConstantChannelWarning):
-            out, _ = zscore(tm, "per_trial_channel")
-        np.testing.assert_array_equal(out.trials, 0.0)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(4)
-        tm = _matrix(rng.standard_normal((5, 3, 64)))
-        once, _ = zscore(tm, "per_trial_channel")
-        twice, _ = zscore(once, "per_trial_channel")
-        np.testing.assert_allclose(once.trials, twice.trials, atol=1e-12)
-
-    def test_moments(self):
-        rng = np.random.default_rng(5)
-        tm = _matrix(rng.standard_normal((4, 2, 128)) * 3.0 + 1.0)
-        out, _ = zscore(tm, "per_trial_channel")
-        assert np.abs(out.trials.mean(axis=2)).max() < 1e-9
-        assert np.abs(out.trials.std(axis=2) - 1.0).max() < 1e-9
-
     def test_train_statistics_scope(self):
         rng = np.random.default_rng(6)
         tm = _matrix(rng.standard_normal((6, 2, 32)) * 2.0 + 5.0)
-        train, test = zscore(tm, "train_statistics", np.arange(3), np.arange(3, 6))
+        train, test = zscore(tm, np.arange(3), np.arange(3, 6))
         fit = tm.trials[:3].astype(np.float64)
         mean = fit.mean(axis=(0, 2))
         std = fit.std(axis=(0, 2))
@@ -385,12 +365,12 @@ class TestZscore:
         rng = np.random.default_rng(9)
         tm = _matrix(rng.standard_normal((6, 2, 16)))
         before = tm.trials.copy()
-        train, test = zscore(tm, "train_statistics", [4, 0, 2], [5])
+        train, test = zscore(tm, [4, 0, 2], [5])
         np.testing.assert_array_equal(train.trial_indices, [4, 0, 2])
         np.testing.assert_array_equal(test.trial_indices, [5])
         np.testing.assert_array_equal(test.labels, tm.labels[[5]])
         np.testing.assert_array_equal(tm.trials, before)
-        assert zscore(tm, "train_statistics", [0, 1])[1] is None
+        assert zscore(tm, [0, 1], [])[1].num_trials == 0
 
     def test_train_statistics_constant_channel_zeroed_with_warning(self):
         rng = np.random.default_rng(7)
@@ -399,49 +379,39 @@ class TestZscore:
         assert np.all(x[2:, 1].std(axis=1) > 0)
         tm = _matrix(x)
         with pytest.warns(ConstantChannelWarning, match="training statistics"):
-            train, test = zscore(tm, "train_statistics", [0, 1], [2, 3])
+            train, test = zscore(tm, [0, 1], [2, 3])
         np.testing.assert_array_equal(train.trials[:, 1], 0.0)
         np.testing.assert_array_equal(test.trials[:, 1], 0.0)
         assert np.all(train.trials[:, 0] != 0.0)
         assert np.all(test.trials[:, 0] != 0.0)
 
-    @pytest.mark.parametrize("scope, axes", [
-        ("per_trial_channel", 2), ("train_statistics", (0, 2)),
-    ])
-    def test_float32_equals_the_formula_bit_for_bit(self, scope, axes):
+    @_TRAIN_AXES
+    def test_float32_equals_the_formula_bit_for_bit(self, axes):
         rng = np.random.default_rng(8)
         x = (rng.standard_normal((6, 3, 40)) * 2.0 + 5.0).astype(np.float32)
         train, test = np.array([0, 2, 3]), np.array([1, 5])
-        out_train, out_test = zscore(_matrix(x).replace(trials=x), scope, train, test)
-        fit = x[train] if scope == "train_statistics" else x
-        mean = fit.mean(axis=axes, keepdims=True, dtype=np.float64)
-        std = fit.std(axis=axes, keepdims=True, dtype=np.float64)
+        out_train, out_test = zscore(_matrix(x).replace(trials=x), train, test)
+        mean = x[train].mean(axis=axes, keepdims=True, dtype=np.float64)
+        std = x[train].std(axis=axes, keepdims=True, dtype=np.float64)
         expected = (x - mean.astype(np.float32)) / std.astype(np.float32)
         assert out_train.trials.dtype == out_test.trials.dtype == np.float32
         assert np.array_equal(out_train.trials, expected[train])
         assert np.array_equal(out_test.trials, expected[test])
 
-    @pytest.mark.parametrize("scope, axes", [
-        ("per_trial_channel", 2), ("train_statistics", (0, 2)),
-    ])
-    def test_int64_returns_float64_formula(self, scope, axes):
+    @_TRAIN_AXES
+    def test_int64_returns_float64_formula(self, axes):
         x = np.arange(12, dtype=np.int64).reshape(2, 1, 6)
         train, test = np.array([0]), np.array([1])
-        out_train, out_test = zscore(_matrix(x).replace(trials=x), scope, train, test)
-        fit = x[train] if scope == "train_statistics" else x
-        mean = fit.mean(axis=axes, keepdims=True, dtype=np.float64)
-        std = fit.std(axis=axes, keepdims=True, dtype=np.float64)
+        out_train, out_test = zscore(_matrix(x).replace(trials=x), train, test)
+        mean = x[train].mean(axis=axes, keepdims=True, dtype=np.float64)
+        std = x[train].std(axis=axes, keepdims=True, dtype=np.float64)
         expected = (x - mean) / std
         assert out_train.trials.dtype == out_test.trials.dtype == np.float64
         assert np.array_equal(out_train.trials, expected[train])
         assert np.array_equal(out_test.trials, expected[test])
 
-    @pytest.mark.parametrize("scope, axes", [
-        ("per_trial_channel", 2), ("train_statistics", (0, 2)),
-    ])
-    def test_float32_across_chunks_equals_the_formula_bit_for_bit(
-        self, scope, axes
-    ):
+    @_TRAIN_AXES
+    def test_float32_across_chunks_equals_the_formula_bit_for_bit(self, axes):
         # 4 rows per chunk: 11 train rows span chunks of 4, 4 and 3
         channels = 3
         samples = dsp._CHUNK_BYTES // (4 * channels * 8)
@@ -450,49 +420,34 @@ class TestZscore:
              ).astype(np.float32)
         train, test = np.arange(11)[::-1], np.array([13, 11, 12])
         assert len(train) > 2 * (dsp._CHUNK_BYTES // (x[0].size * 8))
-        out_train, out_test = zscore(_matrix(x).replace(trials=x), scope, train, test)
-        expected = _formula(x, scope, axes, train)
+        out_train, out_test = zscore(_matrix(x).replace(trials=x), train, test)
+        expected = _formula(x, axes, train)
         assert np.array_equal(out_train.trials, expected[train])
         assert np.array_equal(out_test.trials, expected[test])
 
-    @pytest.mark.parametrize("scope, axes", [
-        ("per_trial_channel", 2), ("train_statistics", (0, 2)),
-    ])
+    @_TRAIN_AXES
     @pytest.mark.parametrize("rows, rows_per_chunk", [
         (7, 3), (1, 3), (5, 0.5),
     ], ids=["uneven", "single_row", "row_larger_than_budget"])
     def test_chunk_edges_equal_the_formula(
-        self, monkeypatch, scope, axes, rows, rows_per_chunk
+        self, monkeypatch, axes, rows, rows_per_chunk
     ):
         rng = np.random.default_rng(12)
         x = (rng.standard_normal((rows + 2, 2, 48)) * 3.0 - 4.0).astype(np.float32)
         monkeypatch.setattr(dsp, "_CHUNK_BYTES", int(rows_per_chunk * 2 * 48 * 8))
         train, test = np.arange(rows), np.arange(rows, rows + 2)
-        out_train, out_test = zscore(_matrix(x).replace(trials=x), scope, train, test)
-        expected = _formula(x, scope, axes, train)
+        out_train, out_test = zscore(_matrix(x).replace(trials=x), train, test)
+        expected = _formula(x, axes, train)
         assert np.array_equal(out_train.trials, expected[train])
         assert np.array_equal(out_test.trials, expected[test])
         # float64 statistics may differ from numpy's in their last bits only
         x64 = x.astype(np.float64)
-        train64, test64 = zscore(_matrix(x64), scope, train, test)
-        expected64 = _formula(x64, scope, axes, train)
+        train64, test64 = zscore(_matrix(x64), train, test)
+        expected64 = _formula(x64, axes, train)
         np.testing.assert_allclose(train64.trials, expected64[train], rtol=1e-12,
                                    atol=1e-12)
         np.testing.assert_allclose(test64.trials, expected64[test], rtol=1e-12,
                                    atol=1e-12)
-
-    def test_trial_channel_constant_in_a_later_chunk_zeroed_with_warning(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(dsp, "_CHUNK_BYTES", 2 * 3 * 16 * 8)  # 2 rows
-        x = np.random.default_rng(13).standard_normal((7, 3, 16))
-        x[5, 1] = -2.0  # third chunk
-        with pytest.warns(ConstantChannelWarning, match="^1 constant trial-channel"):
-            out, _ = zscore(_matrix(x), "per_trial_channel")
-        np.testing.assert_array_equal(out.trials[5, 1], 0.0)
-        mask = np.ones(x.shape, bool)
-        mask[5, 1] = False
-        assert np.all(out.trials[mask] != 0.0)
 
     def test_train_constant_channel_zeroed_in_every_chunk(self, monkeypatch):
         monkeypatch.setattr(dsp, "_CHUNK_BYTES", 2 * 2 * 16 * 8)  # 2 rows
@@ -500,8 +455,7 @@ class TestZscore:
         x[:5, 1] = 3.0  # constant over the 5 training rows only
         with pytest.warns(ConstantChannelWarning,
                           match="^1 constant channel.s. in the training"):
-            train, test = zscore(_matrix(x), "train_statistics",
-                                 np.arange(5), np.arange(5, 12))
+            train, test = zscore(_matrix(x), np.arange(5), np.arange(5, 12))
         np.testing.assert_array_equal(train.trials[:, 1], 0.0)
         np.testing.assert_array_equal(test.trials[:, 1], 0.0)
         assert np.all(train.trials[:, 0] != 0.0)
@@ -513,7 +467,7 @@ class TestZscore:
         train, test = np.arange(48), np.arange(48, 64)
         tracemalloc.start()
         try:
-            zscore(tm, "train_statistics", train, test)
+            zscore(tm, train, test)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -522,18 +476,17 @@ class TestZscore:
 
     def test_train_statistics_requires_indices(self):
         tm = _matrix(np.zeros((2, 1, 4)))
-        with pytest.raises(ValueError, match="train rows"):
-            zscore(tm, "train_statistics")
+        with pytest.raises(TypeError, match="train"):
+            zscore(tm)
         with pytest.raises(ValueError, match="train rows are empty"):
-            zscore(tm, "train_statistics", [])
+            zscore(tm, [], [0])
 
 
-def _formula(x, scope, axes, train):
-    """Every row of ``x`` z-scored by numpy's float64 mean and std, then
-    normalized in the dtype of ``x``."""
-    fit = x[train] if scope == "train_statistics" else x
-    mean = fit.mean(axis=axes, keepdims=True, dtype=np.float64)
-    std = fit.std(axis=axes, keepdims=True, dtype=np.float64)
+def _formula(x, axes, train):
+    """Every row of ``x`` z-scored by numpy's float64 mean and std of the
+    ``train`` rows, then normalized in the dtype of ``x``."""
+    mean = x[train].mean(axis=axes, keepdims=True, dtype=np.float64)
+    std = x[train].std(axis=axes, keepdims=True, dtype=np.float64)
     return (x - mean.astype(x.dtype)) / std.astype(x.dtype)
 
 
