@@ -14,7 +14,7 @@ so a design the splits cannot serve fails before any sample is filtered.
 ``relabel_analysis`` (the grid on sessions relabeled by block) and
 ``highpass_ablation`` are the two follow-up probes; ``issue_verdict`` turns
 the named results into one of CONTAMINATED / CLEAN_SIGNAL / NO_SIGNAL /
-INCONCLUSIVE.
+INCONCLUSIVE.  Each cell is scored from its pooled test rows by ``stats``.
 
 Randomness is funneled through ``GridSpec.seed`` and expanded with
 ``numpy.random.SeedSequence`` keyed on the cell coordinate: splits depend on
@@ -30,11 +30,11 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import classifiers as clf
-from . import dsp, features, splits as splits_mod
+from . import dsp, features, splits as splits_mod, stats
 from .dataset import Session, TrialMatrix, check_window, concat_trials, segment
+from .stats import binomial_p_vs_chance
 
 
 class LeakageError(AssertionError):
@@ -122,8 +122,10 @@ class GridSpec:
             raise ValueError(f"knn_k={self.knn_k!r} must be >= 1")
         if self.mlp_hidden < 1:
             raise ValueError(f"mlp_hidden={self.mlp_hidden!r} must be >= 1")
-        if not 0 <= self.svm_l2 < float("inf"):
-            raise ValueError(f"svm_l2={self.svm_l2!r} must be finite and >= 0")
+        for name in ("svm_l2", "start_offset_ms"):
+            if not 0 <= getattr(self, name) < float("inf"):
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r} must be finite and >= 0")
         if not self.windows_ms or not self.channel_counts or not self.splits:
             raise ValueError("grid axes must be non-empty")
         if not self.filter_configs:
@@ -244,11 +246,6 @@ class GridResult:
         }
 
 
-def binomial_p_vs_chance(n_correct: int, n_test: int, chance: float) -> float:
-    """Exact two-sided binomial test p-value against the chance rate."""
-    return float(_stats.binomtest(n_correct, n_test, chance).pvalue)
-
-
 def _check_no_leakage(fit_indices, test_indices: np.ndarray) -> None:
     """Raise LeakageError if a fit's trial ids (array or set) hit a test id."""
     overlap = np.intersect1d(np.fromiter(fit_indices, np.int64), test_indices)
@@ -365,35 +362,18 @@ def _error_cell(num_classes: int, exc: Exception) -> CellResult:
     )
 
 
-def _block_outcomes(
-    preds: np.ndarray, labels: np.ndarray, blocks: np.ndarray, num_classes: int
-) -> tuple[int, int] | None:
-    """(n blocks, n blocks whose majority prediction is correct), or None
-    when some test block mixes true labels (block units undefined)."""
-    n_blocks = 0
-    n_right = 0
-    for b in np.unique(blocks):
-        rows = blocks == b
-        truth = np.unique(labels[rows])
-        if truth.size != 1:
-            return None
-        votes = np.bincount(preds[rows], minlength=num_classes)
-        n_blocks += 1
-        n_right += int(votes.argmax() == truth[0])
-    return n_blocks, n_right
-
-
 class _CellAccumulator:
-    """Fits one cell on each plan and pools its outcomes (LOSO has several)."""
+    """Fits one cell on each plan (LOSO has several) and scores it once, on
+    the plans' test rows pooled; a block id is tested in one plan only."""
 
     def __init__(self, kind: str, train_seed: int, num_classes: int):
         self.kind = kind
         self.train_seed = train_seed
-        self.confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
         self.n_train = 0
         self.num_classes = num_classes
         self.error: Exception | None = None
-        self.blocks: tuple[int, int] | None = (0, 0)
+        # (true labels, predictions, block ids) of each plan's test rows
+        self.tested: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def fit_and_score(
         self, train: TrialMatrix, test: TrialMatrix, spec: GridSpec
@@ -415,35 +395,28 @@ class _CellAccumulator:
         except (ValueError, clf.TrainingDiverged) as exc:
             self.error = exc
             return
-        self.confusion += clf._confusion(test.labels, preds, self.num_classes)
         self.n_train += train.num_trials
-        blocks = _block_outcomes(
-            preds, test.labels, test.block_ids, self.num_classes
-        )
-        if self.blocks is not None and blocks is not None:
-            self.blocks = (self.blocks[0] + blocks[0], self.blocks[1] + blocks[1])
-        else:
-            self.blocks = None
+        self.tested.append((test.labels, preds, test.block_ids))
 
     def result(self) -> CellResult:
         if self.error is not None:
             return _error_cell(self.num_classes, self.error)
-        n_test = int(self.confusion.sum())
-        n_correct = int(np.trace(self.confusion))
+        labels, preds, block_ids = map(np.concatenate, zip(*self.tested))
+        confusion = stats.confusion(labels, preds, self.num_classes)
+        n_test, n_correct = labels.size, int(np.trace(confusion))
         chance = 1.0 / self.num_classes
+        blocks = stats.block_votes(labels, preds, block_ids, self.num_classes)
         block_fields: dict = {}
-        if self.blocks is not None and self.blocks[0] > 0:
-            block_fields = {
-                "n_test_blocks": self.blocks[0],
-                "n_blocks_correct": self.blocks[1],
-                "block_p_value": binomial_p_vs_chance(
-                    self.blocks[1], self.blocks[0], chance
-                ),
-            }
+        if blocks is not None:
+            n_blocks, n_right = blocks
+            block_fields = dict(
+                n_test_blocks=n_blocks, n_blocks_correct=n_right,
+                block_p_value=binomial_p_vs_chance(n_right, n_blocks, chance),
+            )
         return CellResult(
             accuracy=n_correct / n_test, n_test=n_test, n_correct=n_correct,
             p_value=binomial_p_vs_chance(n_correct, n_test, chance),
-            num_classes=self.num_classes, confusion=self.confusion,
+            num_classes=self.num_classes, confusion=confusion,
             n_train=self.n_train, **block_fields,
         )
 

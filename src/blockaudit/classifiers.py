@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import stats
 from ._threads import worker_threads
 
 
@@ -101,12 +103,12 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         # NaN fails every comparison, so each range is written to reject it
         for name, ok, want in (
+            ("epochs", isinstance(self.epochs, numbers.Integral)
+             and self.epochs >= 1, "an integer >= 1"),
+            ("batch_size", isinstance(self.batch_size, numbers.Integral)
+             and self.batch_size >= 1, "an integer >= 1"),
             ("learning_rate", 0 < self.learning_rate < np.inf, "finite and > 0"),
             ("momentum", 0 <= self.momentum <= 1, "in [0, 1]"),
             ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
@@ -194,10 +196,9 @@ def _fit_in_row_space(x: np.ndarray, fit, into: np.ndarray | None = None):
 
 def _vote(labels_k: np.ndarray, num_classes: int) -> np.ndarray:
     """Majority vote per row; ties resolve to the smallest class index."""
-    m = labels_k.shape[0]
-    counts = np.zeros((m, num_classes), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(m), labels_k.shape[1]), labels_k.ravel()), 1)
-    return counts.argmax(axis=1)
+    m, k = labels_k.shape
+    rows = np.repeat(np.arange(m), k)
+    return stats.tally(rows, labels_k.ravel(), (m, num_classes)).argmax(axis=1)
 
 
 _KNN_CHUNK = 256  # query rows per distance block, bounding its memory
@@ -812,12 +813,5 @@ def evaluate_accuracy(model, x: np.ndarray, y: np.ndarray,
         raise ValueError("empty test set")
     preds = model.predict(x)
     c = num_classes or int(max(y.max(), preds.max())) + 1
-    confusion = _confusion(y, preds, c)
+    confusion = stats.confusion(y, preds, c)
     return float(np.trace(confusion) / y.size), confusion
-
-
-def _confusion(y: np.ndarray, preds: np.ndarray, num_classes: int) -> np.ndarray:
-    """(num_classes, num_classes) counts of (true, predicted) pairs."""
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(confusion, (y, preds), 1)
-    return confusion

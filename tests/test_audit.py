@@ -25,12 +25,12 @@ from blockaudit.audit import (
     _check_no_leakage,
     _error_cell,
     _evaluate_group,
-    binomial_p_vs_chance,
 )
 from blockaudit import splits as sp
 from blockaudit import audit as audit_mod, dsp, features
 from blockaudit.config import ConfigError, build_grid_spec, load_config
 from blockaudit.report import grid_csv_text
+from blockaudit.stats import binomial_p_vs_chance
 
 from conftest import make_session
 
@@ -402,6 +402,13 @@ class TestGridSpec:
         valid = load_config("audit", None, {"inputs": ["x"], "out": "y"})
         with pytest.raises(ConfigError, match=f"grid axis {axis} has"):
             build_grid_spec(dict(valid["grid"], **grid), 256.0, seed=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_start_offset_rejected(self, value):
+        # NaN and inf used to escape check_window as a conversion error
+        with pytest.raises(ValueError, match=re.escape(
+                f"start_offset_ms={value!r} must be finite and >= 0")):
+            replace(small_spec(256.0), start_offset_ms=value)
 
     def test_bad_split_fractions_rejected(self):
         # they used to pass until the split ran, after filtering and cutting

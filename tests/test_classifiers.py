@@ -234,6 +234,22 @@ class TestTrainConfig:
         TrainConfig(momentum=0.0, weight_decay=0.0)
         TrainConfig(momentum=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("epochs", 2.0), ("epochs", float("nan")),
+        ("batch_size", 1.5), ("batch_size", 16.0),
+        ("batch_size", float("nan")),
+    ])
+    def test_non_integral_count_rejected(self, field, value):
+        # a float used to pass and fail in the first fit of a grid, after
+        # the session was segmented; NaN passed because nan < 1 is False
+        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r}")):
+            TrainConfig(**{field: value})
+
+    def test_integer_counts_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8))
+        assert (cfg.epochs, cfg.batch_size) == (3, 8)
+        TrainConfig(epochs=1, batch_size=1)
+
 
 class TestMlp:
     def test_xor_learnable(self):
