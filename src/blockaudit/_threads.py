@@ -1,4 +1,5 @@
-"""The worker-count rule shared by the row filter and the CNN's chunk loops."""
+"""The worker-count rule shared by the row filter, the Welch spectrum and the
+CNN's chunk loops."""
 from __future__ import annotations
 
 import os

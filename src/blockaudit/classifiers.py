@@ -267,22 +267,33 @@ class LinearModel:
         return [self.w, self.b]
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
-        loss, ds = _score_loss(self.scores(x), y)
+        targets = _ovr_targets(y, self.w.shape[1],
+                               np.result_type(x, self.w, self.b))
+        return self._hinge_grads(x, targets)
+
+    def _hinge_grads(self, x: np.ndarray, targets: np.ndarray):
+        """:meth:`loss_and_grads` against the rows' ±1 ``targets``."""
+        total, ds = _score_loss(self.scores(x), targets)
+        loss = total / len(x)
         loss += 0.5 * self.l2 * float(np.einsum("dc,dc->", self.w, self.w))
         gw = x.T @ ds + self.l2 * self.w
         gb = ds.sum(axis=0)
         return float(loss), [gw, gb]
 
 
-def _score_loss(s: np.ndarray, y: np.ndarray):
-    """Mean one-vs-rest hinge loss of the (n, C) scores and a subgradient
-    d(loss)/d(scores)."""
-    n = s.shape[0]
-    targets = -np.ones(s.shape, dtype=s.dtype)
-    targets[np.arange(n), y] = 1.0
+def _ovr_targets(y: np.ndarray, classes: int, dtype) -> np.ndarray:
+    """(n, classes) one-vs-rest targets: +1 at each row's label, -1 elsewhere."""
+    targets = -np.ones((len(y), classes), dtype=dtype)
+    targets[np.arange(len(y)), y] = 1.0
+    return targets
+
+
+def _score_loss(s: np.ndarray, targets: np.ndarray):
+    """Total one-vs-rest hinge loss of the (n, C) scores against their ±1
+    ``targets``, and a subgradient of the mean loss d(loss/n)/d(scores)."""
     margins = 1.0 - targets * s
-    loss = np.maximum(margins, 0.0).sum(axis=1).mean()
-    return loss, np.where(margins > 0, -targets, 0.0) / n
+    total = np.maximum(margins, 0.0).sum()
+    return total, np.where(margins > 0, -targets, 0.0) / s.shape[0]
 
 
 def train_svm(
@@ -313,10 +324,12 @@ def train_svm(
     classes = int(train_y.max()) + 1
     rng = np.random.default_rng(config.seed)
     n, dim = train_x.shape
+    # built once per fit; each step takes its batch's rows
+    targets = _ovr_targets(train_y, classes, dtype)
     if dim <= n:
         model = LinearModel.zeros(dim, classes, dtype=dtype, l2=l2)
         _sgd(model.param_arrays(), n, config, rng,
-             lambda idx: model.loss_and_grads(train_x[idx], train_y[idx]), "SVM")
+             lambda idx: model._hinge_grads(train_x[idx], targets[idx]), "SVM")
         return model
     bias = np.zeros(classes, dtype=dtype)
 
@@ -324,7 +337,7 @@ def train_svm(
         coef = np.zeros((n, classes), dtype=dtype)
 
         def step(idx):
-            loss, ds = _score_loss(gram[idx] @ coef + bias, train_y[idx])
+            loss, ds = _score_loss(gram[idx] @ coef + bias, targets[idx])
             # The loss only feeds the divergence check.  Its L2 term,
             # 0.5·l2·tr(aᵀKa), would cost n²·C per step, so check the
             # coefficients themselves.

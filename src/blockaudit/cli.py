@@ -222,6 +222,14 @@ def _cmd_audit(flags: dict) -> int:
     except ValueError as exc:
         raise config_mod.ConfigError(f"invalid audit config at grid: {exc}") from exc
 
+    # before any grid: an OpenBLAS thread left spinning by the grids' matrix
+    # products would take the second core from the spectrum's worker threads
+    seg = min(cfg["spectrum"]["segment_samples"], sessions[0].num_samples)
+    spectrum = dsp.power_spectrum(
+        sessions[0], seg, cfg["spectrum"]["overlap_fraction"]
+    )
+    vlf = dsp.vlf_fraction(spectrum, cfg["spectrum"]["vlf_cutoff_hz"])
+
     print(f"running grid: {len(spec.classifiers)} classifiers x "
           f"{len(spec.windows_ms)} windows x {len(spec.channel_counts)} channel "
           f"counts x {len(spec.splits)} splits x {len(spec.filter_configs)} "
@@ -237,12 +245,6 @@ def _cmd_audit(flags: dict) -> int:
         ablation = audit_mod.highpass_ablation(
             sessions, cfg["highpass_cutoffs_hz"], spec
         )
-
-    seg = min(cfg["spectrum"]["segment_samples"], sessions[0].num_samples)
-    spectrum = dsp.power_spectrum(
-        sessions[0], seg, cfg["spectrum"]["overlap_fraction"]
-    )
-    vlf = dsp.vlf_fraction(spectrum, cfg["spectrum"]["vlf_cutoff_hz"])
 
     verdict = audit_mod.issue_verdict(
         main,

@@ -57,6 +57,19 @@ class TrialEvent:
             raise ValueError(f"trial {self.trial_id}: onset_sample must be >= 0")
 
 
+def check_finite(samples: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite sample of a
+    (channels, T) array by channel and sample.  Checked one channel at a
+    time, so no array-sized boolean mask is allocated."""
+    for ch, row in enumerate(samples):
+        finite = np.isfinite(row)
+        if not finite.all():
+            t = int(np.argmin(finite))
+            raise ValueError(
+                f"non-finite sample {row[t]} at channel {ch}, sample {t}"
+            )
+
+
 @dataclass(frozen=True)
 class Session:
     """Continuous multichannel recording plus trial metadata.
@@ -89,14 +102,7 @@ class Session:
         if samples.dtype != np.float32:
             samples = samples.astype(np.float32)
         samples = np.ascontiguousarray(samples)
-        # one channel at a time, so no session-sized boolean mask is allocated
-        for ch, row in enumerate(samples):
-            finite = np.isfinite(row)
-            if not finite.all():
-                t = int(np.argmin(finite))
-                raise ValueError(
-                    f"non-finite sample {row[t]} at channel {ch}, sample {t}"
-                )
+        check_finite(samples)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "events", tuple(self.events))

@@ -9,7 +9,9 @@ row it handles in one reused float64 buffer.  Rows are filtered one channel
 per task on up to 2 threads (``_threads.worker_threads``, the rule the CNN's
 chunk loops share), and the output is bit-identical to
 ``sosfiltfilt``/``sosfilt`` row by row; the tests check that, which guards
-the private import.
+the private import.  The Welch spectrum splits the channels over the same
+worker threads; each thread sums its own channels' segments in segment
+order, so the spectrum is bit-identical to a serial pass.
 
 The convention throughout is population (divide-by-n) standard deviation.
 The z-score statistics accumulate in float64 a few trials at a time, and
@@ -18,6 +20,7 @@ float64 copy of the trials or the session.
 """
 from __future__ import annotations
 
+import numbers
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +33,7 @@ from scipy import signal as _signal
 from scipy.signal._sosfilt import _sosfilt as _sos_kernel
 
 from ._threads import worker_threads
-from .dataset import Session, TrialEvent, TrialMatrix
+from .dataset import Session, TrialEvent, TrialMatrix, check_finite
 
 
 class ConstantChannelWarning(UserWarning):
@@ -380,18 +383,15 @@ class PowerSpectrum:
         power = np.asarray(self.power, dtype=np.float64)
         if power.ndim != 2 or power.shape[1] != freqs.size:
             raise ValueError("power must be (channels, len(freqs))")
+        for name, a in (("freqs", freqs), ("power", power)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("freqs must be strictly increasing")
         if np.any(power < 0):
             raise ValueError("power must be nonnegative")
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "power", power)
-
-
-def _welch_segments(x: np.ndarray, nperseg: int, hop: int):
-    total = x.shape[-1]
-    for start in range(0, total - nperseg + 1, hop):
-        yield x[..., start : start + nperseg]
 
 
 def power_spectrum(
@@ -402,7 +402,15 @@ def power_spectrum(
 ) -> PowerSpectrum:
     """Welch-averaged one-sided periodogram with a periodic Hann window.
 
-    ``segment_samples`` must not exceed the available length.
+    ``segment_samples`` must be an integer >= 2 that does not exceed the
+    available length.  A bare (channels, T) array needs a finite
+    ``sample_rate`` > 0, and a NaN or infinite sample is rejected with its
+    channel and sample named, as :class:`Session` does.
+
+    The channels are split into contiguous groups, one per worker thread
+    (``_threads.worker_threads``, the rule the filter and the CNN share).
+    Each thread sums its own channels' segments in segment order, so the
+    spectrum is bit-identical to a serial pass over all channels at once.
     """
     if isinstance(data, Session):
         x = data.samples
@@ -411,40 +419,53 @@ def power_spectrum(
         x = np.atleast_2d(np.asarray(data))
         if sample_rate is None:
             raise ValueError("sample_rate is required for bare arrays")
+        if not 0 < sample_rate < np.inf:
+            raise ValueError(f"sample_rate={sample_rate!r} must be finite and > 0")
+        check_finite(x)
         fs = sample_rate
+    if not (isinstance(segment_samples, numbers.Integral) and segment_samples >= 2):
+        raise ValueError(
+            f"segment_samples={segment_samples!r} must be an integer >= 2")
     nperseg = int(segment_samples)
-    if nperseg < 2:
-        raise ValueError("segment_samples must be >= 2")
     if x.shape[-1] < nperseg:
         raise ValueError("segment_samples exceeds available samples")
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError("overlap_fraction must be in [0, 1)")
     hop = max(1, int(round(nperseg * (1.0 - overlap_fraction))))
+    starts = range(0, x.shape[-1] - nperseg + 1, hop)
 
     n = np.arange(nperseg)
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / nperseg)  # periodic Hann
-    win_power = float(np.sum(window**2))
-
+    scale = nperseg * float(np.sum(window**2))
     nbins = nperseg // 2 + 1
+    # one-sided: double everything except DC (and Nyquist when even)
+    doubled = slice(1, nbins - 1 if nperseg % 2 == 0 else nbins)
     acc = np.zeros((x.shape[0], nbins), dtype=np.float64)
-    count = 0
-    for seg in _welch_segments(x, nperseg, hop):
-        # the float64 window promotes each segment exactly, so no float64
-        # copy of the whole session is made
-        spec = np.fft.rfft(seg * window, axis=-1)
-        p = (spec.real**2 + spec.imag**2) / (nperseg * win_power)
-        # one-sided: double everything except DC (and Nyquist when even)
-        p[..., 1 : nbins - 1 if nperseg % 2 == 0 else nbins] *= 2.0
-        acc += p
-        count += 1
-    if count == 0:
-        raise ValueError("no full segment fits the data")
+
+    def accumulate(lo: int, hi: int) -> None:
+        # numpy only, so no traced blockaudit call runs off the main thread
+        for start in starts:
+            # the float64 window promotes each segment exactly, so no float64
+            # copy of the whole session is made
+            spec = np.fft.rfft(x[lo:hi, start:start + nperseg] * window, axis=-1)
+            p = (spec.real**2 + spec.imag**2) / scale
+            p[:, doubled] *= 2.0
+            acc[lo:hi] += p
+
+    workers = max(1, min(worker_threads(), x.shape[0]))
+    bounds = [x.shape[0] * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # list() reads every result, so a worker's exception is raised
+        list(pool.map(accumulate, bounds[:-1], bounds[1:]))
     freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
-    return PowerSpectrum(freqs=freqs, power=np.maximum(acc / count, 0.0))
+    return PowerSpectrum(freqs=freqs, power=np.maximum(acc / len(starts), 0.0))
 
 
 def vlf_fraction(spectrum: PowerSpectrum, cutoff_hz: float) -> float:
-    """Fraction of total power (all channels pooled) below ``cutoff_hz``."""
+    """Fraction of total power (all channels pooled) below ``cutoff_hz``,
+    which must be finite, > 0 and below the top frequency bin."""
+    if not 0 < cutoff_hz < np.inf:
+        raise ValueError(f"cutoff_hz={cutoff_hz!r} must be finite and > 0")
     if not cutoff_hz < spectrum.freqs[-1]:
         raise ValueError("cutoff_hz must be below the top frequency bin")
     total = float(spectrum.power.sum())

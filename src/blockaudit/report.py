@@ -68,14 +68,15 @@ def ablation_csv_text(ablation: AblationResult) -> str:
 
 
 def spectra_csv_text(spectrum: PowerSpectrum) -> str:
-    header = "freq_hz," + ",".join(
-        f"ch{i}" for i in range(spectrum.power.shape[0])
-    )
-    lines = [header]
-    for j, f in enumerate(spectrum.freqs):
-        vals = ",".join(f"{spectrum.power[i, j]:.6e}"
-                        for i in range(spectrum.power.shape[0]))
-        lines.append(f"{f:.6f},{vals}")
+    """One row per frequency bin: the frequency, then each channel's power.
+
+    Each row is one ``%``-format over that row's values, which formats each
+    value as ``f"{v:.6e}"`` does (``f"{f:.6f}"`` for the frequency)."""
+    channels = spectrum.power.shape[0]
+    lines = ["freq_hz," + ",".join(f"ch{i}" for i in range(channels))]
+    row = "%.6f" + ",%.6e" * channels
+    for f, power in zip(spectrum.freqs.tolist(), spectrum.power.T):
+        lines.append(row % (f, *power.tolist()))
     return "\n".join(lines) + "\n"
 
 

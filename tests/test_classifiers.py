@@ -173,6 +173,58 @@ class TestSvm:
         assert model.w.dtype == np.float32 and model.w.flags.c_contiguous
         assert np.array_equal(model.w, x.T @ coef)
 
+    @staticmethod
+    def _per_step_targets_fit(x, y, config, l2):
+        """``train_svm`` as it was when every step rebuilt its batch's ±1
+        targets and took the loss as a mean of row sums."""
+        def hinge(s, labels):
+            n = s.shape[0]
+            targets = -np.ones(s.shape, dtype=s.dtype)
+            targets[np.arange(n), labels] = 1.0
+            margins = 1.0 - targets * s
+            loss = np.maximum(margins, 0.0).sum(axis=1).mean()
+            return loss, np.where(margins > 0, -targets, 0.0) / n
+
+        classes = int(y.max()) + 1
+        rng = np.random.default_rng(config.seed)
+        n, dim = x.shape
+        b = np.zeros(classes, dtype=x.dtype)
+        if dim <= n:
+            w = np.zeros((dim, classes), dtype=x.dtype)
+
+            def step(idx):
+                loss, ds = hinge(x[idx] @ w + b, y[idx])
+                loss += 0.5 * l2 * float(np.einsum("dc,dc->", w, w))
+                return float(loss), [x[idx].T @ ds + l2 * w, ds.sum(axis=0)]
+
+            classifiers._sgd([w, b], n, config, rng, step, "SVM")
+            return w, b
+        gram = x @ x.T
+        coef = np.zeros((n, classes), dtype=x.dtype)
+
+        def step(idx):
+            loss, ds = hinge(gram[idx] @ coef + b, y[idx])
+            grad = l2 * coef
+            grad[idx] += ds
+            return float(loss), [grad, ds.sum(axis=0)]
+
+        classifiers._sgd([coef, b], n, config, rng, step, "SVM")
+        return (coef.T @ x).T, b
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("features", [6, 150], ids=["primal", "gram"])
+    def test_equals_the_per_step_targets_fit_bit_for_bit(self, features, dtype):
+        # the ±1 targets are built once per fit; every step must stay the same
+        rng = np.random.default_rng(21)
+        y = np.arange(70) % 4
+        x = (rng.standard_normal((70, features))
+             + 1.5 * np.eye(4, features)[y]).astype(dtype)
+        cfg = TrainConfig(seed=5, epochs=15, batch_size=16, learning_rate=1e-2)
+        model = train_svm(x, y, cfg, l2=1e-3)
+        w, b = self._per_step_targets_fit(x, y, cfg, 1e-3)
+        assert model.w.dtype == dtype
+        assert np.array_equal(model.w, w) and np.array_equal(model.b, b)
+
     @pytest.mark.parametrize("features", [4, 64], ids=["primal", "gram"])
     def test_divergence_reported_with_config_echo(self, features):
         rng = np.random.default_rng(13)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from blockaudit import (
@@ -19,7 +21,7 @@ from blockaudit import (
     zscore,
 )
 from blockaudit import dsp
-from blockaudit.dsp import ConstantChannelWarning
+from blockaudit.dsp import ConstantChannelWarning, PowerSpectrum
 
 from conftest import make_session
 
@@ -563,6 +565,70 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError, match="exceeds"):
             power_spectrum(np.zeros((1, 64)), 128, 0.5, sample_rate=100.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_named(self, bad):
+        x = np.zeros((3, 512))
+        x[2, 100] = bad
+        with pytest.raises(ValueError,
+                           match=f"non-finite sample {bad} at channel 2, sample 100"):
+            power_spectrum(x, 128, 0.5, sample_rate=100.0)
+
+    @pytest.mark.parametrize("rate", [0.0, np.inf, np.nan, -5.0])
+    def test_sample_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="sample_rate=.* must be finite and > 0"):
+            power_spectrum(np.zeros((1, 512)), 128, 0.5, sample_rate=rate)
+
+    @pytest.mark.parametrize("seg", [256.9, 256.0, 1])
+    def test_segment_samples_must_be_an_integer_of_at_least_two(self, seg):
+        with pytest.raises(ValueError,
+                           match=f"segment_samples={seg!r} must be an integer >= 2"):
+            power_spectrum(np.zeros((1, 512)), seg, 0.5, sample_rate=100.0)
+
+    @staticmethod
+    def _serial_reference(x, nperseg, hop):
+        """The Welch sum over every channel at once, one segment at a time."""
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+        scale = nperseg * float(np.sum(window**2))
+        acc = np.zeros((x.shape[0], nperseg // 2 + 1))
+        count = 0
+        for start in range(0, x.shape[1] - nperseg + 1, hop):
+            spec = np.fft.rfft(x[:, start:start + nperseg] * window, axis=-1)
+            p = (spec.real**2 + spec.imag**2) / scale
+            p[:, 1:nperseg // 2 if nperseg % 2 == 0 else None] *= 2.0
+            acc += p
+            count += 1
+        return np.maximum(acc / count, 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 3, 32])
+    @pytest.mark.parametrize("nperseg", [256, 255])
+    def test_threaded_equals_serial_reference_bit_for_bit(self, channels, dtype,
+                                                          nperseg):
+        x = np.random.default_rng(channels).standard_normal(
+            (channels, 5000)).astype(dtype)
+        spec = power_spectrum(x, nperseg, 0.5, sample_rate=256.0)
+        hop = int(round(nperseg * 0.5))
+        assert np.array_equal(spec.power, self._serial_reference(x, nperseg, hop))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), channels=st.integers(1, 12))
+    def test_permuting_channels_permutes_the_spectrum(self, seed, channels):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((channels, 1024)).astype(np.float32)
+        order = rng.permutation(channels)
+        spec = power_spectrum(x, 128, 0.5, sample_rate=100.0)
+        permuted = power_spectrum(x[order], 128, 0.5, sample_rate=100.0)
+        assert np.array_equal(permuted.power, spec.power[order])
+        assert np.array_equal(permuted.freqs, spec.freqs)
+
+    @pytest.mark.parametrize("field", ["freqs", "power"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectrum_rejected(self, field, bad):
+        parts = {"freqs": np.array([0.0, 1.0, 2.0]), "power": np.ones((2, 3))}
+        parts[field][..., -1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PowerSpectrum(**parts)
+
 
 class TestVlfFraction:
     def test_dc_only(self):
@@ -589,3 +655,10 @@ class TestVlfFraction:
         spec = power_spectrum(np.ones((1, 256)), 64, 0.5, sample_rate=100.0)
         with pytest.raises(ValueError, match="cutoff"):
             vlf_fraction(spec, 51.0)
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, np.nan, np.inf])
+    def test_cutoff_must_be_finite_and_positive(self, cutoff):
+        spec = power_spectrum(np.ones((1, 256)), 64, 0.5, sample_rate=100.0)
+        with pytest.raises(ValueError,
+                           match=f"cutoff_hz={cutoff!r} must be finite and > 0"):
+            vlf_fraction(spec, cutoff)

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 import blockaudit as ba
 from blockaudit import splits as sp
 from blockaudit.audit import GridResult, issue_verdict
+from blockaudit.dsp import PowerSpectrum
 from blockaudit.report import (
     ablation_csv_text,
     fmt_accuracy,
@@ -64,6 +66,18 @@ class TestOtherCsv:
         lines = spectra_csv_text(spectrum).strip().splitlines()
         assert lines[0] == "freq_hz,ch0,ch1"
         assert len(lines) == 1 + 33
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-12, 1.0, 1e12, 1e300])
+    def test_spectra_csv_equals_the_per_value_formatter(self, scale):
+        rng = np.random.default_rng(3)
+        power = scale * rng.random((3, 9))
+        power[1, 4] = 0.0
+        spectrum = PowerSpectrum(freqs=np.linspace(0.0, 1e3 / 3, 9), power=power)
+        lines = ["freq_hz,ch0,ch1,ch2"] + [
+            f"{f:.6f}," + ",".join(f"{power[i, j]:.6e}" for i in range(3))
+            for j, f in enumerate(spectrum.freqs)
+        ]
+        assert spectra_csv_text(spectrum) == "\n".join(lines) + "\n"
 
     def test_ablation_csv(self, drift_session):
         spec = ba.GridSpec(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from blockaudit import stats
 
@@ -99,3 +100,41 @@ class TestBlockVotes:
 def test_binomial_p_vs_chance():
     assert stats.binomial_p_vs_chance(5, 10, 0.5) == 1.0
     assert stats.binomial_p_vs_chance(10, 10, 0.1) == pytest.approx(1e-10)
+
+
+CLASS_COUNTS = (2, 3, 4, 6, 8, 10, 16, 20, 32, 40)
+
+
+def _binomtest_cases():
+    """(k, n, classes): every k of every n in 1..200, each n with one class
+    count in turn (and every class count up to n = 30); then, for a few
+    larger n, k in strides and around the chance count, for every class
+    count."""
+    for n in range(1, 201):
+        counts = CLASS_COUNTS if n <= 30 else (CLASS_COUNTS[n % len(CLASS_COUNTS)],)
+        for c in counts:
+            for k in range(n + 1):
+                yield k, n, c
+    for n in (257, 400, 1000):
+        for c in CLASS_COUNTS:
+            near = range(max(0, n // c - 6), min(n, n // c + 6) + 1)
+            for k in sorted(set(range(0, n + 1, 9)) | set(near) | {n}):
+                yield k, n, c
+
+
+def test_binomial_p_vs_chance_is_binomtest_bit_for_bit():
+    mismatches = [
+        (k, n, c) for k, n, c in _binomtest_cases()
+        if stats.binomial_p_vs_chance(k, n, 1.0 / c)
+        != scipy_stats.binomtest(k, n, 1.0 / c).pvalue
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("k, n, chance", [(-1, 5, 0.5), (6, 5, 0.5),
+                                          (0, 0, 0.5), (2, 5, 1.5)])
+def test_binomial_p_vs_chance_rejects_what_binomtest_rejects(k, n, chance):
+    with pytest.raises(ValueError):
+        scipy_stats.binomtest(k, n, chance)
+    with pytest.raises(ValueError):
+        stats.binomial_p_vs_chance(k, n, chance)
