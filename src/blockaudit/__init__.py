@@ -62,7 +62,6 @@ from .splits import (
     loso_round_robin,
     relabel_blocks,
     split_block_disjoint,
-    split_leave_one_subject_out,
     split_within_block,
 )
 from .audit import (

@@ -328,9 +328,9 @@ def _build_plans(
     matrix: TrialMatrix, split: SplitSpec, seed: int
 ) -> list[splits_mod.SplitPlan]:
     if split.regime == splits_mod.WITHIN_BLOCK:
-        return [splits_mod.split_within_block(matrix, split.fractions, seed)]
+        return splits_mod.split_within_block(matrix, split.fractions, seed)
     if split.regime == splits_mod.BLOCK_DISJOINT:
-        return [splits_mod.split_block_disjoint(matrix, split.fractions, seed)]
+        return splits_mod.split_block_disjoint(matrix, split.fractions, seed)
     return splits_mod.loso_round_robin(matrix)
 
 
@@ -635,6 +635,17 @@ class VerdictConfig:
     alpha: float = 0.01
     high_multiple: float = 3.0       # "high" accuracy >= multiple x chance
     comparable_points: float = 0.10  # |within - disjoint| for CLEAN_SIGNAL
+
+    def __post_init__(self):
+        # NaN fails every comparison, so each range is written to reject it
+        for name, ok, want in (
+            ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
+            ("high_multiple", 0 < self.high_multiple < np.inf, "finite and > 0"),
+            ("comparable_points", 0 <= self.comparable_points < np.inf,
+             "finite and >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}={getattr(self, name)!r} must be {want}")
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,6 @@ def _load_config(command: str, flags: dict) -> dict:
 
 
 def _cmd_synth(flags: dict) -> int:
-    if "evoked.amplitude" in flags:
-        flags["evoked.enabled"] = True
     cfg = _load_config("synth", flags)
 
     out_dir = Path(cfg["out"])

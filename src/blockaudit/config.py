@@ -149,7 +149,6 @@ SCHEMAS: dict[str, dict] = {
             "evoked": {
                 "type": "object",
                 "properties": {
-                    "enabled": {"type": "boolean"},
                     "amplitude": {"type": "number", "minimum": 0},
                     "template_ms": {"type": "number", "exclusiveMinimum": 0},
                     "center_hz": {"type": "number", "exclusiveMinimum": 0},
@@ -197,7 +196,8 @@ SCHEMAS: dict[str, dict] = {
             "verdict": {
                 "type": "object",
                 "properties": {
-                    "alpha": {"type": "number", "exclusiveMinimum": 0},
+                    "alpha": {"type": "number", "exclusiveMinimum": 0,
+                              "exclusiveMaximum": 1},
                     "high_multiple": {"type": "number", "exclusiveMinimum": 0},
                     "comparable_points": {"type": "number", "minimum": 0},
                 },
@@ -344,11 +344,19 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+def _strict_validator(schema: dict):
+    """The schema's validator, with "integer" taking only a non-bool int:
+    JSON Schema's own check also takes an integral float such as ``6.0``."""
+    cls = jsonschema.validators.validator_for(schema)
+    checker = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
+
+
 # one validator per command, built once: a call checks the config against
 # its schema, not the schema against the metaschema
 _VALIDATORS = {
-    command: jsonschema.validators.validator_for(schema)(schema)
-    for command, schema in SCHEMAS.items()
+    command: _strict_validator(schema) for command, schema in SCHEMAS.items()
 }
 
 
@@ -427,8 +435,6 @@ def _typed(value, schema: dict):
         return {k: _typed(v, schema["properties"][k]) for k, v in value.items()}
     if isinstance(value, list):
         return tuple(_typed(v, schema["items"]) for v in value)
-    if schema.get("type") == "integer":
-        return int(value)
     return float(value) if schema.get("type") == "number" else value
 
 

@@ -325,10 +325,10 @@ def zscore(
     of the ``train`` rows and applied to the train and the test rows alike,
     so no statistic of a test row reaches either set.  Only those rows are
     normalized: each set is gathered once and normalized in place, and rows
-    in neither set (a split's validation share, say) are never read.  The
-    statistics accumulate in float64 a few trials at a time, so no float64
-    copy of the trials is made; normalization stays in the data dtype.  A
-    zero std maps its channel to zeros and raises a
+    in neither set (the middle share a split leaves out, say) are never
+    read.  The statistics accumulate in float64 a few trials at a time, so
+    no float64 copy of the trials is made; normalization stays in the data
+    dtype.  A zero std maps its channel to zeros and raises a
     :class:`ConstantChannelWarning` instead of dividing by zero.  Float32
     and float64 trials keep their dtype; any other dtype (integer trials,
     say) is gathered as float64.

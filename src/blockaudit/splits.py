@@ -2,13 +2,16 @@
 
 Three regimes cover the leakage spectrum: ``within_block`` reproduces the
 flawed protocol (every test trial shares its block with training trials),
-``block_disjoint`` assigns whole blocks to one partition (leakage-free), and
-``leave_one_subject_out`` holds out entire subjects.  The split functions
-read only a matrix's labels, block ids and subject ids, so building a plan
-on a matrix with an empty sample stack checks a design before any sample is
-processed.  ``relabel_blocks`` rewrites each session's class labels to
-block identity, the probe that exposes what a classifier is really keying
-on.
+``block_disjoint`` puts each block whole on one side (leakage-free), and
+``leave_one_subject_out`` holds out entire subjects; each returns a list of
+train/test plans.  The holdout regimes deal train, a middle share and test by
+``fractions``: the middle share is left out of every fit and test, and is
+dealt only to keep every plan as it is until the grid cross-fits folds.  The
+split functions read only a matrix's labels, block
+ids and subject ids, so building a plan on a matrix with an empty sample
+stack checks a design before any sample is processed.  ``relabel_blocks``
+rewrites each session's class labels to block identity, the probe that
+exposes what a classifier is really keying on.
 """
 from __future__ import annotations
 
@@ -27,22 +30,18 @@ REGIMES = (WITHIN_BLOCK, BLOCK_DISJOINT, LEAVE_ONE_SUBJECT_OUT)
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Disjoint train/validation/test indices under a named regime."""
+    """Disjoint train and test rows of ``num_trials``; other rows are left out."""
 
     train: np.ndarray
-    validation: np.ndarray
     test: np.ndarray
-    regime: str
     num_trials: int
-    held_out_subject: str | None = None
 
     def __post_init__(self):
-        for name in ("train", "validation", "test"):
+        for name in ("train", "test"):
             arr = np.sort(np.asarray(getattr(self, name), dtype=np.int64))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        parts = [self.train, self.validation, self.test]
-        union = np.concatenate(parts)
+        union = np.concatenate([self.train, self.test])
         if union.size != np.unique(union).size:
             raise ValueError("split partitions overlap")
         if union.size and (union.min() < 0 or union.max() >= self.num_trials):
@@ -78,17 +77,17 @@ def _apportion(n: int, fractions: np.ndarray, rng) -> np.ndarray:
 
 def _deal(
     groups: list[np.ndarray], fractions: np.ndarray, seed: int
-) -> list[np.ndarray]:
-    """Deal every group's items into (train, validation, test): apportion the
-    group, shuffle it, and cut it at the apportioned counts."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deal every group's items into (train, test): apportion the group into
+    three shares, shuffle it, and cut it; the middle share is left out."""
     rng = np.random.default_rng(seed)
-    parts: list[list[np.ndarray]] = [[], [], []]
+    train, test = [], []
     for group in groups:
         counts = _apportion(group.size, fractions, rng)
         shuffled = rng.permutation(group)
-        for part, chunk in zip(parts, np.split(shuffled, np.cumsum(counts)[:2])):
-            part.append(chunk)
-    return [np.concatenate(p) for p in parts]
+        train.append(shuffled[: counts[0]])
+        test.append(shuffled[counts[0] + counts[1]:])
+    return np.concatenate(train), np.concatenate(test)
 
 
 def _check_block_sizes(block_ids: np.ndarray) -> np.ndarray:
@@ -104,8 +103,8 @@ def _check_block_sizes(block_ids: np.ndarray) -> np.ndarray:
 
 def split_within_block(
     trials: TrialMatrix, fractions=(0.8, 0.1, 0.1), seed: int = 0
-) -> SplitPlan:
-    """Stratified random assignment inside every block.
+) -> list[SplitPlan]:
+    """One plan: stratified random assignment inside every block.
 
     By construction every test trial's block contributes trials to the
     training set: the contaminated regime.  Each block needs at least 3
@@ -114,17 +113,14 @@ def split_within_block(
     f = _check_fractions(fractions)
     blocks = _check_block_sizes(trials.block_ids)
     groups = [np.flatnonzero(trials.block_ids == block) for block in blocks]
-    train, val, test = _deal(groups, f, seed)
-    return SplitPlan(
-        train=train, validation=val, test=test,
-        regime=WITHIN_BLOCK, num_trials=trials.num_trials,
-    )
+    train, test = _deal(groups, f, seed)
+    return [SplitPlan(train=train, test=test, num_trials=trials.num_trials)]
 
 
 def _block_groups(labels: np.ndarray, block_ids: np.ndarray) -> list[np.ndarray]:
     """The block ids that block-disjoint splitting deals, one group per
     class on block-design data, else one group; raise if a group is too
-    small to deal into train, validation and test."""
+    small to deal into its three shares."""
     blocks = np.unique(block_ids)
     block_labels = [np.unique(labels[block_ids == b]) for b in blocks]
     if all(bl.size == 1 for bl in block_labels):
@@ -144,8 +140,8 @@ def _block_groups(labels: np.ndarray, block_ids: np.ndarray) -> list[np.ndarray]
 
 def split_block_disjoint(
     trials: TrialMatrix, fractions=(0.8, 0.1, 0.1), seed: int = 0
-) -> SplitPlan:
-    """Assign whole blocks to exactly one partition (no block leaks).
+) -> list[SplitPlan]:
+    """One plan that puts each block whole on one side (no block leaks).
 
     On block-design data, blocks are stratified by class so every class
     appears in the training set, which requires at least 3 blocks per class.
@@ -154,40 +150,28 @@ def split_block_disjoint(
     """
     f = _check_fractions(fractions)
     groups = _block_groups(trials.labels, trials.block_ids)
-    train, val, test = (
+    train, test = (
         np.flatnonzero(np.isin(trials.block_ids, part))
         for part in _deal(groups, f, seed)
     )
-    return SplitPlan(
-        train=train, validation=val, test=test,
-        regime=BLOCK_DISJOINT, num_trials=trials.num_trials,
-    )
-
-
-def split_leave_one_subject_out(
-    trials: TrialMatrix, held_out_subject: str
-) -> SplitPlan:
-    """Test on one subject, train on all others; no validation set."""
-    subjects = np.asarray(trials.subject_ids).astype(str)
-    if np.unique(subjects).size < 2:
-        raise ValueError("leave-one-subject-out needs >= 2 subjects")
-    mask = subjects == str(held_out_subject)
-    if not mask.any():
-        raise ValueError(f"unknown subject {held_out_subject!r}")
-    return SplitPlan(
-        train=np.flatnonzero(~mask),
-        validation=np.array([], dtype=np.int64),
-        test=np.flatnonzero(mask),
-        regime=LEAVE_ONE_SUBJECT_OUT,
-        num_trials=trials.num_trials,
-        held_out_subject=str(held_out_subject),
-    )
+    return [SplitPlan(train=train, test=test, num_trials=trials.num_trials)]
 
 
 def loso_round_robin(trials: TrialMatrix) -> list[SplitPlan]:
-    """One leave-one-subject-out plan per subject, in sorted subject order."""
-    subjects = sorted(set(np.asarray(trials.subject_ids).astype(str)))
-    return [split_leave_one_subject_out(trials, s) for s in subjects]
+    """One plan per subject, in sorted subject order: test on that subject's
+    trials, train on every other subject's."""
+    subjects = np.asarray(trials.subject_ids).astype(str)
+    names = np.unique(subjects)
+    if names.size < 2:
+        raise ValueError("leave-one-subject-out needs >= 2 subjects")
+    return [
+        SplitPlan(
+            train=np.flatnonzero(subjects != name),
+            test=np.flatnonzero(subjects == name),
+            num_trials=trials.num_trials,
+        )
+        for name in names
+    ]
 
 
 def relabel_blocks(sessions: Sequence[Session]) -> list[Session]:

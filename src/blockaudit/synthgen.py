@@ -44,17 +44,17 @@ class EvokedParams:
 
     ``center_hz`` places the burst's energy; the default 30 Hz puts it in the
     20-40 Hz band so it survives the highpass cutoffs used by the audit.
+    Templates are drawn only at a positive ``amplitude`` (default 0: none).
     """
 
     amplitude: float = 0.0
     template_ms: float = 150.0
     center_hz: float = 30.0
-    enabled: bool = False
 
     def __post_init__(self):
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise ValueError("evoked amplitude must be >= 0")
-        if self.enabled and self.template_ms <= 0:
+        if not self.template_ms > 0:
             raise ValueError("template_ms must be > 0")
 
 
@@ -114,7 +114,7 @@ def make_block_schedule(
     shuffled by ``seed``.  Setting ``blocks_per_class > 1`` splits each
     class's trials over several equally sized blocks, which is what
     block-disjoint evaluation needs (it requires at least 3 blocks per class
-    to place every class in train, validation, and test).
+    to put every class in train, the left-out middle share, and test).
     """
     if classes < 2 or trials_per_class < 1:
         raise ValueError("need classes >= 2 and trials_per_class >= 1")
@@ -178,8 +178,8 @@ def make_rapid_event_schedule(
 def _evoked_templates(
     evoked: EvokedParams, classes: int, channels: int, sample_rate: float, rng
 ) -> np.ndarray | None:
-    """Per-class (channels, template_samples) bursts, or None when disabled."""
-    if not evoked.enabled or evoked.amplitude == 0.0:
+    """Per-class (channels, template_samples) bursts, or None at amplitude 0."""
+    if not evoked.amplitude > 0:
         return None
     width = int(round(evoked.template_ms * sample_rate / 1000.0))
     if width < 2:
@@ -204,9 +204,9 @@ def generate_session(
 
     Per block: one DC offset per channel (std ``dc_sigma``), one random walk
     per channel restarting at the block boundary (step std ``walk_sigma``),
-    white noise everywhere (std ``noise_sigma``), and, when enabled, the
-    class template added at each trial onset.  Blanking after each block is
-    generated but carries no events.
+    white noise everywhere (std ``noise_sigma``), and, at a positive evoked
+    amplitude, the class template added at each trial onset.  Blanking after
+    each block is generated but carries no events.
     """
     if channels < 1:
         raise ValueError("channels must be >= 1")

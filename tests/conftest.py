@@ -62,8 +62,7 @@ def evoked_session():
     return generate_session(
         schedule, channels=16, sample_rate=256.0,
         drift=DriftParams(0.0, 0.0, 1.0),
-        evoked=EvokedParams(amplitude=4.0, template_ms=150.0, center_hz=30.0,
-                            enabled=True),
+        evoked=EvokedParams(amplitude=4.0, template_ms=150.0, center_hz=30.0),
         subject_id="s01", seed=9,
     )
 

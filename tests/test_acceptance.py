@@ -140,7 +140,7 @@ class TestCriterion3HighpassAblation:
             schedule, channels=24, sample_rate=512.0,
             drift=ba.DriftParams(0.0, 0.0, 1.0),
             evoked=ba.EvokedParams(amplitude=2.0, template_ms=150.0,
-                                   center_hz=30.0, enabled=True),
+                                   center_hz=30.0),
             subject_id="s01", seed=55,
         )
         spec = reduced_grid_spec(
@@ -352,7 +352,6 @@ class TestCriterion9DeterminismAndLeakage:
                                  filter_configs=(ba.FilterConfig(name="raw"),))
         rigged = SimpleNamespace(
             train=np.arange(matrix.num_trials),
-            validation=np.array([], dtype=np.int64),
             test=np.arange(5),
         )
         with pytest.raises(LeakageError):

@@ -96,17 +96,13 @@ class TestRunGrid:
         assert len(result.cells) == 1
         cell = next(iter(result.cells.values()))
 
-        # direct single run with the same derived seeds, in the grid's one
+        # direct single run on the grid's own plan, in the grid's one
         # order: filter the session, segment, z-score, rank, fit
-        from blockaudit.audit import _derive_seed, _SEED_SPLIT
-
+        ((plan,),) = ba.audit.check_grid(noise_session, spec)
         session = noise_session
         for fspec in filters:
             session = dsp.apply_filter(dsp.design_filter(fspec), session)
         matrix = ba.segment(session, 40.0, 440.0)
-        plan = sp.split_within_block(
-            matrix, (0.8, 0.1, 0.1), _derive_seed(spec.seed, _SEED_SPLIT, 0)
-        )
         train, test = dsp.zscore(matrix, plan.train, plan.test)
         ranking = features.fisher_scores(train)
         train, test = (m.replace(trials=np.take(m.trials, ranking.order[:4], axis=1))
@@ -327,10 +323,12 @@ class TestRunGrid:
             for plan, want in zip(
                 plans, ba.audit._build_plans(matrix, split, seed), strict=True
             ):
-                for part in ("train", "validation", "test"):
-                    np.testing.assert_array_equal(
-                        getattr(plan, part), getattr(want, part))
-                assert plan.held_out_subject == want.held_out_subject
+                np.testing.assert_array_equal(plan.train, want.train)
+                np.testing.assert_array_equal(plan.test, want.test)
+                assert plan.num_trials == want.num_trials == matrix.num_trials
+        # LOSO holds out each subject once, in sorted subject order
+        assert [set(matrix.subject_ids[p.test]) for p in got[2]] == [
+            {"a"}, {"b"}]
 
     def test_multi_session_loso(self):
         sessions = []
@@ -434,9 +432,7 @@ class TestLeakageGuard:
         matrix = ba.segment(drift_session, 40.0, 440.0)
         rigged = SimpleNamespace(
             train=np.arange(matrix.num_trials),  # includes the test rows
-            validation=np.array([], dtype=np.int64),
             test=np.arange(10),
-            regime=sp.WITHIN_BLOCK,
         )
         spec = small_spec(256.0, classifiers=("knn",))
         with pytest.raises(LeakageError):
@@ -466,7 +462,8 @@ class TestChannelOrderInPlace:
     fits every channel count on a prefix of them."""
 
     def _plan(self, matrix):
-        return sp.split_within_block(matrix, (0.8, 0.1, 0.1), seed=3)
+        (plan,) = sp.split_within_block(matrix, (0.8, 0.1, 0.1), seed=3)
+        return plan
 
     def test_fit_inputs_equal_take_of_the_zscored_stacks(self, drift_session,
                                                          monkeypatch):
@@ -787,6 +784,21 @@ class TestVerdictRules:
 
         with pytest.raises(ValueError, match="evidence"):
             Verdict(status=VerdictStatus.NO_SIGNAL, evidence=())
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", float("nan")), ("alpha", float("inf")), ("alpha", -1.0),
+        ("alpha", 0.0), ("alpha", 1.0), ("alpha", 2.0),
+        ("high_multiple", float("nan")), ("high_multiple", float("inf")),
+        ("high_multiple", -3), ("high_multiple", 0.0),
+        ("comparable_points", float("nan")),
+        ("comparable_points", float("inf")), ("comparable_points", -1),
+    ])
+    def test_verdict_config_rejects_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name}={value!r} must")):
+            ba.VerdictConfig(**{name: value})
+
+    def test_verdict_config_accepts_range_edges(self):
+        ba.VerdictConfig(alpha=0.999, high_multiple=0.5, comparable_points=0.0)
 
 
 class TestSerialization:

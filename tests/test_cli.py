@@ -620,6 +620,52 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="at highpass_cutoffs_hz/1:"):
             validate_config("audit", cfg)
 
+    @pytest.mark.parametrize("command, doc, where", [
+        ("synth", {"classes": 6.0}, "classes"),
+        ("spectrum", {"segment_samples": 256.0}, "segment_samples"),
+        ("audit", {"grid": dict(AUDIT_GRID, train={"epochs": 50.0})},
+         "grid/train/epochs"),
+        ("audit", {"seed": 11.0}, "seed"),
+    ], ids=["synth_classes", "spectrum_segment", "grid_epochs", "seed"])
+    def test_integral_float_at_integer_key_exit_2(
+        self, session_dir, tmp_path, capsys, command, doc, where
+    ):
+        out = tmp_path / "out"
+        baud = str(session_dir / "s01_block.baud")
+        inputs = {"synth": {}, "spectrum": {"input": baud},
+                  "audit": {"inputs": [baud]}}[command]
+        cfg = tmp_path / "float.json"
+        cfg.write_text(json.dumps(
+            {"schema_version": 1, "out": str(out), **inputs, **doc}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"at {where}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evoked_amplitude_in_config_equals_flag(self, tmp_path):
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        assert main(synth_args(by_flag, ["--evoked-amplitude", "2.5"])) == 0
+        cfg = tmp_path / "evoked.json"
+        cfg.write_text(json.dumps({"schema_version": 1,
+                                   "evoked": {"amplitude": 2.5}}))
+        assert main(synth_args(by_file, ["--config", str(cfg)])) == 0
+        quiet = tmp_path / "quiet"
+        assert main(synth_args(quiet)) == 0
+        flag = (by_flag / "s01_block.baud").read_bytes()
+        assert (by_file / "s01_block.baud").read_bytes() == flag
+        assert (quiet / "s01_block.baud").read_bytes() != flag
+
+    def test_evoked_enabled_key_exit_2(self, session_dir, tmp_path, capsys):
+        # a config, or a manifest written while evoked had an on/off switch
+        manifest = json.loads((session_dir / "manifest.json").read_text())
+        manifest["config"]["out"] = str(tmp_path / "replay")
+        manifest["config"]["evoked"]["enabled"] = True
+        cfg = tmp_path / "old_manifest.json"
+        cfg.write_text(json.dumps(manifest))
+        assert main(["synth", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "at evoked:" in err and "'enabled' was unexpected" in err
+        assert not (tmp_path / "replay").exists()
+
     def test_defaults_merge_and_validate(self):
         cfg = load_config("synth", None, {"out": "/tmp/x", "classes": 6})
         assert cfg["classes"] == 6
@@ -643,7 +689,7 @@ FLAG_CASES = [
             "channels": 8, "sample_rate": 256.0, "stimulus_ms": 400.0,
             "blank_ms": 100.0,
             "drift": {"dc_sigma": 4.0, "walk_sigma": 0.1, "noise_sigma": 2.0},
-            "evoked": {"amplitude": 0.5, "enabled": True, "template_ms": 120.0,
+            "evoked": {"amplitude": 0.5, "template_ms": 120.0,
                        "center_hz": 25.0},
             "subjects": ["a", "b"],
         }),

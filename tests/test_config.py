@@ -170,3 +170,42 @@ def test_error_text_is_jsonschemas_best_match(command, config):
     with pytest.raises(ConfigError) as got:
         validate_config(command, config)
     assert str(got.value) == f"invalid {command} config at {path}: {exc.message}"
+
+
+_SYNTH = {"schema_version": 1, "out": "x"}
+_AUDIT = {"schema_version": 1, "inputs": ["x"], "out": "y"}
+
+
+@pytest.mark.parametrize("command, config, where", [
+    ("synth", dict(_SYNTH, classes=6.0), "classes"),
+    ("synth", dict(_SYNTH, block_count=5.0), "block_count"),
+    ("synth", dict(_SYNTH, channels=True), "channels"),
+    ("spectrum", {"schema_version": 1, "input": "x", "out": "y",
+                  "segment_samples": 256.0}, "segment_samples"),
+    ("audit", dict(_AUDIT, seed=11.0), "seed"),
+    ("audit", dict(_AUDIT, grid={"train": {"epochs": 50.0}}),
+     "grid/train/epochs"),
+    ("audit", dict(_AUDIT, grid={"channel_counts": [0, 8.0]}),
+     "grid/channel_counts/1"),
+    ("codebook", {"schema_version": 1, "out": "x", "seeds": 2.0}, "seeds"),
+], ids=["synth_classes", "nullable_block_count", "bool", "segment_samples",
+        "seed", "grid_epochs", "channel_count", "codebook_seeds"])
+def test_integer_key_rejects_integral_float_and_bool(command, config, where):
+    with pytest.raises(ConfigError, match=f"at {where}: .* is not of type"):
+        validate_config(command, config)
+
+
+def test_integer_key_accepts_int():
+    validate_config("synth", dict(_SYNTH, classes=6, block_count=None))
+    validate_config("audit", dict(_AUDIT, seed=2**40,
+                                  grid={"train": {"epochs": 50}}))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+def test_verdict_alpha_outside_open_unit_interval_rejected(alpha):
+    with pytest.raises(ConfigError, match="at verdict/alpha:"):
+        validate_config("audit", dict(_AUDIT, verdict={"alpha": alpha}))
+
+
+def test_verdict_alpha_inside_open_unit_interval_accepted():
+    validate_config("audit", dict(_AUDIT, verdict={"alpha": 0.5}))

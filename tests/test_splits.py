@@ -14,7 +14,6 @@ from blockaudit import (
     relabel_blocks,
     segment,
     split_block_disjoint,
-    split_leave_one_subject_out,
     split_within_block,
 )
 
@@ -46,6 +45,12 @@ def block_design(n_classes, blocks_per_class, trials_per_block):
     return matrix(labels, blocks)
 
 
+def left_out(plan):
+    """The rows a plan neither trains nor tests on: the dealt middle share."""
+    return np.setdiff1d(np.arange(plan.num_trials),
+                        np.union1d(plan.train, plan.test))
+
+
 def largest_remainder_oracle(n, fractions):
     """Floor allocation plus one-by-one assignment of leftovers to the
     largest remainders (any tie order)."""
@@ -60,31 +65,31 @@ def largest_remainder_oracle(n, fractions):
 class TestWithinBlock:
     def test_fifty_trial_blocks_split_40_5_5(self):
         tm = block_design(4, 1, 50)
-        plan = split_within_block(tm, (0.8, 0.1, 0.1), seed=0)
+        (plan,) = split_within_block(tm, (0.8, 0.1, 0.1), seed=0)
         for b in range(4):
             rows = np.flatnonzero(tm.block_ids == b)
             assert np.intersect1d(plan.train, rows).size == 40
-            assert np.intersect1d(plan.validation, rows).size == 5
+            assert np.intersect1d(left_out(plan), rows).size == 5
             assert np.intersect1d(plan.test, rows).size == 5
 
     def test_every_test_block_in_train(self):
         tm = block_design(5, 2, 7)
-        plan = split_within_block(tm, (0.6, 0.2, 0.2), seed=1)
+        (plan,) = split_within_block(tm, (0.6, 0.2, 0.2), seed=1)
         train_blocks = set(tm.block_ids[plan.train])
         for t in plan.test:
             assert tm.block_ids[t] in train_blocks
 
     def test_deterministic(self):
         tm = block_design(3, 2, 10)
-        a = split_within_block(tm, (0.8, 0.1, 0.1), seed=7)
-        b = split_within_block(tm, (0.8, 0.1, 0.1), seed=7)
+        (a,) = split_within_block(tm, (0.8, 0.1, 0.1), seed=7)
+        (b,) = split_within_block(tm, (0.8, 0.1, 0.1), seed=7)
         np.testing.assert_array_equal(a.train, b.train)
         np.testing.assert_array_equal(a.test, b.test)
 
     def test_rounding_matches_largest_remainder(self):
         tm = block_design(1, 1, 13)
-        plan = split_within_block(tm, (0.6, 0.2, 0.2), seed=2)
-        counts = sorted([plan.train.size, plan.validation.size, plan.test.size],
+        (plan,) = split_within_block(tm, (0.6, 0.2, 0.2), seed=2)
+        counts = sorted([plan.train.size, left_out(plan).size, plan.test.size],
                         reverse=True)
         oracle = sorted(largest_remainder_oracle(13, (0.6, 0.2, 0.2)),
                         reverse=True)
@@ -104,20 +109,20 @@ class TestWithinBlock:
 class TestBlockDisjoint:
     def test_three_singleton_class_blocks(self):
         tm = block_design(1, 3, 4)
-        plan = split_block_disjoint(tm, (1 / 3, 1 / 3, 1 / 3), seed=0)
-        assert plan.train.size == plan.validation.size == plan.test.size == 4
+        (plan,) = split_block_disjoint(tm, (1 / 3, 1 / 3, 1 / 3), seed=0)
+        assert plan.train.size == left_out(plan).size == plan.test.size == 4
 
     def test_block_ids_disjoint_across_partitions(self):
         tm = block_design(4, 4, 5)
-        plan = split_block_disjoint(tm, (0.5, 0.25, 0.25), seed=3)
+        (plan,) = split_block_disjoint(tm, (0.5, 0.25, 0.25), seed=3)
         tr = set(tm.block_ids[plan.train])
-        va = set(tm.block_ids[plan.validation])
+        va = set(tm.block_ids[left_out(plan)])
         te = set(tm.block_ids[plan.test])
         assert tr & te == set() and tr & va == set() and va & te == set()
 
     def test_stratified_every_class_in_train(self):
         tm = block_design(6, 3, 4)
-        plan = split_block_disjoint(tm, (0.6, 0.2, 0.2), seed=4)
+        (plan,) = split_block_disjoint(tm, (0.6, 0.2, 0.2), seed=4)
         assert set(tm.labels[plan.train]) == set(range(6))
 
     def test_rapid_event_40_blocks_32_4_4(self):
@@ -125,9 +130,9 @@ class TestBlockDisjoint:
         labels = rng.permutation(np.repeat(np.arange(8), 40))
         blocks = np.repeat(np.arange(40), 8)
         tm = matrix(labels, blocks)
-        plan = split_block_disjoint(tm, (0.8, 0.1, 0.1), seed=5)
+        (plan,) = split_block_disjoint(tm, (0.8, 0.1, 0.1), seed=5)
         assert len(set(tm.block_ids[plan.train])) == 32
-        assert len(set(tm.block_ids[plan.validation])) == 4
+        assert len(set(tm.block_ids[left_out(plan)])) == 4
         assert len(set(tm.block_ids[plan.test])) == 4
 
     def test_too_few_blocks_per_class(self):
@@ -140,47 +145,116 @@ class TestLeaveOneSubjectOut:
     def test_complement_pair(self):
         tm = matrix([0, 1, 0, 1], [0, 0, 1, 1],
                     subjects=["a", "a", "b", "b"])
-        plan = split_leave_one_subject_out(tm, "b")
+        _, plan = loso_round_robin(tm)
         np.testing.assert_array_equal(plan.test, [2, 3])
         np.testing.assert_array_equal(plan.train, [0, 1])
-        assert plan.validation.size == 0
-        assert plan.held_out_subject == "b"
+        assert left_out(plan).size == 0
 
     def test_round_robin_covers_each_subject_once(self):
         subjects = ["a"] * 3 + ["b"] * 3 + ["c"] * 3
         tm = matrix([0, 1, 0] * 3, [0] * 3 + [1] * 3 + [2] * 3, subjects)
         plans = loso_round_robin(tm)
-        assert [p.held_out_subject for p in plans] == ["a", "b", "c"]
+        assert [set(tm.subject_ids[p.test]) for p in plans] == [
+            {"a"}, {"b"}, {"c"}]
         covered = np.sort(np.concatenate([p.test for p in plans]))
         np.testing.assert_array_equal(covered, np.arange(9))
-
-    def test_unknown_subject(self):
-        tm = matrix([0, 1], [0, 1], subjects=["a", "b"])
-        with pytest.raises(ValueError, match="unknown subject"):
-            split_leave_one_subject_out(tm, "zz")
 
     def test_needs_two_subjects(self):
         tm = matrix([0, 1], [0, 1], subjects=["a", "a"])
         with pytest.raises(ValueError, match="2 subjects"):
-            split_leave_one_subject_out(tm, "a")
+            loso_round_robin(tm)
 
 
 class TestPlanInvariants:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            SplitPlan(train=np.array([0, 1]), validation=np.array([1]),
-                      test=np.array([2]), regime="within_block", num_trials=3)
+            SplitPlan(train=np.array([0, 1]), test=np.array([1]), num_trials=3)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
-            SplitPlan(train=np.array([0]), validation=np.array([], dtype=int),
-                      test=np.array([9]), regime="within_block", num_trials=3)
+            SplitPlan(train=np.array([0]), test=np.array([9]), num_trials=3)
 
     def test_empty_test_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            SplitPlan(train=np.array([0, 1]), validation=np.array([], dtype=int),
-                      test=np.array([], dtype=int), regime="within_block",
+            SplitPlan(train=np.array([0, 1]), test=np.array([], dtype=int),
                       num_trials=3)
+
+
+@st.composite
+def designs(draw):
+    """A random block or rapid-event design, its subjects and a fraction
+    triple: blocks of 3-6 trials, 3-5 blocks per class, 1-3 subjects
+    assigned block by block."""
+    n_classes = draw(st.integers(1, 4))
+    per_class = draw(st.integers(3, 5))
+    size = draw(st.integers(3, 6))
+    rapid = n_classes > 1 and draw(st.booleans())
+    n_blocks = n_classes * per_class
+    if rapid:
+        # every block holds every class
+        labels = np.concatenate([
+            np.resize(np.random.default_rng(b).permutation(n_classes), size)
+            for b in range(n_blocks)
+        ])
+    else:
+        labels = np.repeat(np.arange(n_classes), per_class * size)
+    blocks = np.repeat(np.arange(n_blocks), size)
+    owners = draw(st.lists(st.sampled_from("pqr"), min_size=n_blocks,
+                           max_size=n_blocks))
+    subjects = np.repeat(owners, size)
+    weights = np.array(draw(st.tuples(*[st.integers(1, 4)] * 3)), dtype=float)
+    return matrix(labels, blocks, subjects), tuple(weights / weights.sum())
+
+
+def check_plan(plan, tm):
+    for part in (plan.train, plan.test):
+        assert part.size and np.all(np.diff(part) > 0)
+        assert part.min() >= 0 and part.max() < tm.num_trials
+    assert np.intersect1d(plan.train, plan.test).size == 0
+    assert plan.num_trials == tm.num_trials
+
+
+class TestPlanProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(designs(), st.integers(0, 2**32 - 1))
+    def test_holdout_regimes_return_one_plan(self, design, seed):
+        tm, fractions = design
+        for split in (split_within_block, split_block_disjoint):
+            try:
+                plans = split(tm, fractions, seed)
+            except ValueError as exc:
+                # a deal that leaves every test share empty
+                assert "non-empty" in str(exc)
+                continue
+            (plan,) = plans
+            check_plan(plan, tm)
+            train_blocks = set(tm.block_ids[plan.train])
+            test_blocks = set(tm.block_ids[plan.test])
+            if split is split_within_block:
+                assert test_blocks <= train_blocks
+            else:
+                sides = (plan.train, plan.test, left_out(plan))
+                for b in np.unique(tm.block_ids):
+                    rows = np.flatnonzero(tm.block_ids == b)
+                    assert sum(np.isin(rows, side).all() for side in sides) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(designs())
+    def test_loso_holds_out_each_subject_once(self, design):
+        tm, _ = design
+        names = sorted(set(tm.subject_ids))
+        if len(names) < 2:
+            with pytest.raises(ValueError, match="2 subjects"):
+                loso_round_robin(tm)
+            return
+        plans = loso_round_robin(tm)
+        assert len(plans) == len(names)
+        for plan, name in zip(plans, names):
+            check_plan(plan, tm)
+            np.testing.assert_array_equal(
+                plan.test, np.flatnonzero(tm.subject_ids == name))
+            np.testing.assert_array_equal(
+                plan.train, np.flatnonzero(tm.subject_ids != name))
 
 
 def session(labels, blocks, subject="s", seed=0):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ class TestGenerateSession:
         sched = make_block_schedule(3, 4, 200.0, 100.0, seed=2)
         kw = dict(channels=4, sample_rate=256.0,
                   drift=DriftParams(2.0, 0.1, 1.0),
-                  evoked=EvokedParams(amplitude=1.0, enabled=True),
+                  evoked=EvokedParams(amplitude=1.0),
                   subject_id="s01", seed=11)
         a = generate_session(sched, **kw)
         b = generate_session(sched, **kw)
@@ -156,7 +158,7 @@ class TestGenerateSession:
         # the template survives a 5 Hz highpass nearly untouched
         sched = make_block_schedule(2, 6, 500.0, 200.0, seed=4)
         evoked = EvokedParams(amplitude=5.0, template_ms=150.0,
-                              center_hz=30.0, enabled=True)
+                              center_hz=30.0)
         ses = generate_session(sched, 4, 512.0, DriftParams(0, 0, 0.001),
                                evoked, "s", seed=3)
         hp = design_filter(FilterSpec.highpass(5.0, 512.0, 2))
@@ -171,7 +173,7 @@ class TestGenerateSession:
         with pytest.raises(ValueError, match="template longer"):
             generate_session(
                 sched, 2, 256.0, DriftParams(),
-                EvokedParams(amplitude=1.0, template_ms=200.0, enabled=True),
+                EvokedParams(amplitude=1.0, template_ms=200.0),
                 "s", seed=0,
             )
 
@@ -182,3 +184,31 @@ class TestGenerateSession:
                              "s", 0)
         with pytest.raises(ValueError, match=">= 0"):
             DriftParams(-1.0, 0.0, 1.0)
+
+
+class TestEvokedParams:
+    def test_no_enabled_field(self):
+        assert [f.name for f in fields(EvokedParams)] == [
+            "amplitude", "template_ms", "center_hz"]
+
+    def test_templates_drawn_exactly_when_amplitude_positive(self):
+        sched = make_block_schedule(2, 4, 200.0, 100.0, seed=2)
+
+        def render(amplitude):
+            return generate_session(
+                sched, 3, 256.0, DriftParams(0.0, 0.0, 1.0),
+                EvokedParams(amplitude=amplitude), "s", seed=4,
+            ).samples
+
+        quiet = generate_session(sched, 3, 256.0, DriftParams(0.0, 0.0, 1.0),
+                                 EvokedParams(), "s", seed=4).samples
+        assert render(0.0).tobytes() == quiet.tobytes()
+        assert render(1.0).tobytes() != quiet.tobytes()
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1.0])
+    @pytest.mark.parametrize("template_ms", [0.0, -5.0, float("nan")])
+    def test_template_ms_must_be_positive_whatever_the_amplitude(
+        self, amplitude, template_ms
+    ):
+        with pytest.raises(ValueError, match="template_ms must be > 0"):
+            EvokedParams(amplitude=amplitude, template_ms=template_ms)
