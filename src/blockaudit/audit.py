@@ -489,53 +489,58 @@ def run_grid(data: Session | Sequence[Session], spec: GridSpec) -> GridResult:
     in the cell, never raised, and a leakage violation is always raised.
     The C distinct class labels are renumbered 0..C-1 in label order
     before any fit, so chance is 1/C however the classes are numbered.
+    numpy's OpenBLAS is held to one thread for the call, so that no idle
+    BLAS worker spins under the filter's or the CNN's threads; only products
+    past the size gate of ``classifiers._OneBlasThread.released`` get the
+    previous count back.  It is restored on return or raise.
     """
-    sessions = _sessions(data)
-    plans = check_grid(sessions, spec)
-    bases = [
-        concat_trials([_filter_and_segment(s, fc, spec) for s in sessions])
-        for fc in spec.filter_configs
-    ]
-    classes, labels = np.unique(bases[0].labels, return_inverse=True)
-    bases = [b.replace(labels=labels) for b in bases]
-    ref = bases[0]
-    num_classes = classes.size
-    # 0 means all channels; a count that repeats once resolved is evaluated
-    # once, under the training-seed index of its last occurrence
-    channel_index = {
-        ch or ref.channels: ci
-        for ci, ch in enumerate(spec.channel_counts)
-    }
-
-    cells = {}
-    for (fi, fc), (si, split), (wi, w) in product(
-        enumerate(spec.filter_configs),
-        enumerate(spec.splits),
-        enumerate(spec.windows_ms),
-    ):
-        train_seeds = {
-            (ch, kind): _derive_seed(spec.seed, _SEED_TRAIN, si, wi, ci, ki)
-            for (ch, ci), (ki, kind) in product(
-                channel_index.items(), enumerate(spec.classifiers)
-            )
+    with clf._one_blas_thread:
+        sessions = _sessions(data)
+        plans = check_grid(sessions, spec)
+        bases = [
+            concat_trials([_filter_and_segment(s, fc, spec) for s in sessions])
+            for fc in spec.filter_configs
+        ]
+        classes, labels = np.unique(bases[0].labels, return_inverse=True)
+        bases = [b.replace(labels=labels) for b in bases]
+        ref = bases[0]
+        num_classes = classes.size
+        # 0 means all channels; a count that repeats once resolved is evaluated
+        # once, under the training-seed index of its last occurrence
+        channel_index = {
+            ch or ref.channels: ci
+            for ci, ch in enumerate(spec.channel_counts)
         }
-        group = _evaluate_group(
-            bases[fi], plans[si], spec, w,
-            crop_seed=_derive_seed(spec.seed, _SEED_CROP, wi),
-            train_seeds=train_seeds,
-            num_classes=num_classes,
+
+        cells = {}
+        for (fi, fc), (si, split), (wi, w) in product(
+            enumerate(spec.filter_configs),
+            enumerate(spec.splits),
+            enumerate(spec.windows_ms),
+        ):
+            train_seeds = {
+                (ch, kind): _derive_seed(spec.seed, _SEED_TRAIN, si, wi, ci, ki)
+                for (ch, ci), (ki, kind) in product(
+                    channel_index.items(), enumerate(spec.classifiers)
+                )
+            }
+            group = _evaluate_group(
+                bases[fi], plans[si], spec, w,
+                crop_seed=_derive_seed(spec.seed, _SEED_CROP, wi),
+                train_seeds=train_seeds,
+                num_classes=num_classes,
+            )
+            for (ch, kind), res in group.items():
+                cells[(fc.name, split.regime, w, ch, kind)] = res
+        return GridResult(
+            cells=cells,
+            windows_ms=spec.windows_ms,
+            channel_counts=tuple(channel_index),
+            classifiers=spec.classifiers,
+            filter_names=tuple(fc.name for fc in spec.filter_configs),
+            regimes=tuple(s.regime for s in spec.splits),
+            seed=spec.seed,
         )
-        for (ch, kind), res in group.items():
-            cells[(fc.name, split.regime, w, ch, kind)] = res
-    return GridResult(
-        cells=cells,
-        windows_ms=spec.windows_ms,
-        channel_counts=tuple(channel_index),
-        classifiers=spec.classifiers,
-        filter_names=tuple(fc.name for fc in spec.filter_configs),
-        regimes=tuple(s.regime for s in spec.splits),
-        seed=spec.seed,
-    )
 
 
 def relabel_analysis(

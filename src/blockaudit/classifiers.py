@@ -10,6 +10,7 @@ training) and safe to share for inference.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import numbers
@@ -51,14 +52,29 @@ def _openblas_thread_fns():
     return None
 
 
+# A product inside a hold gets the held-over OpenBLAS count back when it
+# takes about 15 ms or more at one thread on 2 vCPUs: 2³⁰ multiply-adds in a
+# Gram, or a matrix of 32 MiB streamed by a thin product, which takes about
+# as long per byte read as a Gram takes for 32 multiply-adds.  Below that a
+# second thread saves a few ms at most, and leaves a BLAS worker spinning
+# for about 0.13 s after it.
+_RELEASE_MACS = 2**30
+_MACS_PER_BYTE = 32
+
+
 class _OneBlasThread:
     """Holds numpy's OpenBLAS to one thread while any holder is inside, and
     restores the previous count when the last one leaves, on every exit path.
-    Where no OpenBLAS function is found, BLAS threading is left alone."""
+    Where no OpenBLAS function is found, BLAS threading is left alone.
+
+    Inside a hold, :meth:`released` gives a large product the previous count
+    for its duration; 1 comes back when the last release ends, also when it
+    raises."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._holders = 0
+        self._releases = 0
         self._previous = 1
 
     def __enter__(self):
@@ -79,9 +95,33 @@ class _OneBlasThread:
                 if self._holders == 0:
                     fns[1](self._previous)
 
+    @contextlib.contextmanager
+    def released(self, macs: int, nbytes: int):
+        """The held-over count for a product of ``macs`` multiply-adds that
+        streams a matrix of ``nbytes``, when a hold is in force and
+        ``max(macs, _MACS_PER_BYTE * nbytes)`` is at least ``_RELEASE_MACS``;
+        otherwise the count in force."""
+        fns = _openblas_thread_fns()  # found whenever a hold is in force
+        cost = max(macs, _MACS_PER_BYTE * nbytes)
+        with self._lock:
+            release = self._holders > 0 and cost >= _RELEASE_MACS
+            if release:
+                self._releases += 1
+                fns[1](self._previous)
+        try:
+            yield
+        finally:
+            if release:
+                with self._lock:
+                    self._releases -= 1
+                    if self._releases == 0 and self._holders > 0:
+                        fns[1](1)
+
 
 # The CNN's chunk workers run their GEMMs side by side; a second BLAS thread
-# would only spin between them while numpy runs the elementwise passes.
+# would only spin between them while numpy runs the elementwise passes.  The
+# grid holds it too, so that no idle BLAS worker spins under the filter's
+# threads; only products past the size gate release it.
 _one_blas_thread = _OneBlasThread()
 
 
@@ -182,8 +222,12 @@ def _fit_in_row_space(x: np.ndarray, fit, into: np.ndarray | None = None):
     D = 43,296.  The weights are added in place to ``into`` and it is
     returned when given; otherwise they come back as a new C-contiguous array.
     """
-    coef = fit(x @ x.T)
-    weights = (coef.T @ x).T
+    with _one_blas_thread.released(len(x) * x.size, x.nbytes):
+        gram = x @ x.T
+    coef = fit(gram)
+    del gram
+    with _one_blas_thread.released(coef.shape[1] * x.size, x.nbytes):
+        weights = (coef.T @ x).T
     if into is None:
         return np.ascontiguousarray(weights)
     into += weights
@@ -227,9 +271,11 @@ class KnnModel:
         out = np.empty(queries.shape[0], dtype=np.int64)
         for start in range(0, queries.shape[0], _KNN_CHUNK):
             q = queries[start : start + _KNN_CHUNK]
+            with _one_blas_thread.released(len(q) * self.x.size, self.x.nbytes):
+                cross = q @ self.x.T
             d2 = (
                 np.einsum("md,md->m", q, q)[:, None]
-                - 2.0 * (q @ self.x.T)
+                - 2.0 * cross
                 + self._sq_norms[None, :]
             )
             # stable sort: equidistant neighbors resolve to lower trial index

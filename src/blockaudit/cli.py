@@ -220,8 +220,9 @@ def _cmd_audit(flags: dict) -> int:
     except ValueError as exc:
         raise config_mod.ConfigError(f"invalid audit config at grid: {exc}") from exc
 
-    # before any grid: an OpenBLAS thread left spinning by the grids' matrix
-    # products would take the second core from the spectrum's worker threads
+    # before any grid: a grid product large enough to get the second BLAS
+    # thread back can leave it spinning on the core the spectrum's second
+    # worker needs
     seg = min(cfg["spectrum"]["segment_samples"], sessions[0].num_samples)
     spectrum = dsp.power_spectrum(
         sessions[0], seg, cfg["spectrum"]["overlap_fraction"]

@@ -76,10 +76,14 @@ def _apportion(n: int, fractions: np.ndarray, rng) -> np.ndarray:
 
 
 def _deal(
-    groups: list[np.ndarray], fractions: np.ndarray, seed: int
+    groups: list[np.ndarray], fractions: np.ndarray, seed: int,
+    regime: str, items: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deal every group's items into (train, test): apportion the group into
-    three shares, shuffle it, and cut it; the middle share is left out."""
+    three shares, shuffle it, and cut it; the middle share is left out.
+
+    Raise ValueError naming ``regime``, the fractions and the largest group,
+    of ``items``, when every group's test share rounds to 0."""
     rng = np.random.default_rng(seed)
     train, test = [], []
     for group in groups:
@@ -87,7 +91,14 @@ def _deal(
         shuffled = rng.permutation(group)
         train.append(shuffled[: counts[0]])
         test.append(shuffled[counts[0] + counts[1]:])
-    return np.concatenate(train), np.concatenate(test)
+    test = np.concatenate(test)
+    if test.size == 0:
+        raise ValueError(
+            f"{regime} split with fractions {tuple(fractions.tolist())} leaves "
+            f"no test trial: a test share of {fractions[2]:g} rounds to 0 on "
+            f"at most {max(g.size for g in groups)} {items}"
+        )
+    return np.concatenate(train), test
 
 
 def _check_block_sizes(block_ids: np.ndarray) -> np.ndarray:
@@ -113,14 +124,16 @@ def split_within_block(
     f = _check_fractions(fractions)
     blocks = _check_block_sizes(trials.block_ids)
     groups = [np.flatnonzero(trials.block_ids == block) for block in blocks]
-    train, test = _deal(groups, f, seed)
+    train, test = _deal(groups, f, seed, WITHIN_BLOCK, "trials per block")
     return [SplitPlan(train=train, test=test, num_trials=trials.num_trials)]
 
 
-def _block_groups(labels: np.ndarray, block_ids: np.ndarray) -> list[np.ndarray]:
+def _block_groups(
+    labels: np.ndarray, block_ids: np.ndarray
+) -> tuple[list[np.ndarray], str]:
     """The block ids that block-disjoint splitting deals, one group per
-    class on block-design data, else one group; raise if a group is too
-    small to deal into its three shares."""
+    class on block-design data, else one group, and what a group holds;
+    raise if a group is too small to deal into its three shares."""
     blocks = np.unique(block_ids)
     block_labels = [np.unique(labels[block_ids == b]) for b in blocks]
     if all(bl.size == 1 for bl in block_labels):
@@ -132,10 +145,10 @@ def _block_groups(labels: np.ndarray, block_ids: np.ndarray) -> list[np.ndarray]
                     "block-disjoint stratification needs >= 3 blocks per "
                     f"class; a class has only {g.size}"
                 )
-        return groups
+        return groups, "blocks per class"
     if blocks.size < 3:
         raise ValueError("block-disjoint split needs >= 3 blocks")
-    return [blocks]
+    return [blocks], "blocks"
 
 
 def split_block_disjoint(
@@ -149,10 +162,10 @@ def split_block_disjoint(
     blocks overall.
     """
     f = _check_fractions(fractions)
-    groups = _block_groups(trials.labels, trials.block_ids)
+    groups, items = _block_groups(trials.labels, trials.block_ids)
     train, test = (
         np.flatnonzero(np.isin(trials.block_ids, part))
-        for part in _deal(groups, f, seed)
+        for part in _deal(groups, f, seed, BLOCK_DISJOINT, items)
     )
     return [SplitPlan(train=train, test=test, num_trials=trials.num_trials)]
 

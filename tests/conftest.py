@@ -8,6 +8,7 @@ def pytest_runtest_logreport(report):
         name = report.nodeid.split("::")[-1]
         print(f"\n[ACCEPTANCE] {name}: {report.outcome.upper()}")
 
+from blockaudit import classifiers
 from blockaudit import (
     DriftParams,
     EvokedParams,
@@ -111,3 +112,17 @@ def gradient_check(
             denom = max(abs(gflat[i]), abs(numeric), floor)
             worst = max(worst, abs(gflat[i] - numeric) / denom)
     return worst
+
+
+@pytest.fixture(params=[1, 2], ids=["blas1", "blas2"])
+def blas_count(request):
+    """numpy's OpenBLAS thread count getter and the count set for the test,
+    1 or 2; the count in force before it is put back after it."""
+    fns = classifiers._openblas_thread_fns()
+    if fns is None:
+        pytest.skip("no OpenBLAS thread-count function under numpy.libs")
+    get, put = fns
+    before = get()
+    put(request.param)
+    yield get, request.param
+    put(before)

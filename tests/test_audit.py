@@ -27,7 +27,7 @@ from blockaudit.audit import (
     _evaluate_group,
 )
 from blockaudit import splits as sp
-from blockaudit import audit as audit_mod, dsp, features
+from blockaudit import audit as audit_mod, classifiers as clf, dsp, features
 from blockaudit.config import ConfigError, build_grid_spec, load_config
 from blockaudit.report import grid_csv_text
 from blockaudit.stats import binomial_p_vs_chance
@@ -203,7 +203,10 @@ class TestRunGrid:
         (2, sp.WITHIN_BLOCK, "block 0 has 2 trials; need >= 3 to stratify"),
         (12, sp.LEAVE_ONE_SUBJECT_OUT, "needs >= 2 subjects"),
         # 0.8/0.1/0.1 of a 3-trial block deals all 3 trials to train
-        (3, sp.WITHIN_BLOCK, "train and test must be non-empty"),
+        (3, sp.WITHIN_BLOCK, re.escape(
+            "within_block split with fractions (0.8, 0.1, 0.1) leaves no test "
+            "trial: a test share of 0.1 rounds to 0 on at most 3 trials per "
+            "block")),
     ], ids=["blocks_per_class", "trials_per_block", "subjects", "test_trials"])
     @pytest.mark.usefixtures("no_filter")
     def test_unsplittable_design_raises_before_any_filter(
@@ -455,6 +458,60 @@ class TestLeakageGuard:
         spec = small_spec(256.0, classifiers=("knn",))
         with pytest.raises(LeakageError, match="test trial"):
             run_grid(drift_session, spec)
+
+
+class TestChannelPermutation:
+    @pytest.mark.parametrize("fixture", ["drift_session", "evoked_session"])
+    def test_permuted_channel_rows_give_the_same_grid(self, fixture, request):
+        # the Fisher ranking orders the channels, so the order they are
+        # recorded in must not reach any cell
+        session = request.getfixturevalue(fixture)
+        spec = small_spec(256.0, windows=(440.0, 100.0), channels=(0, 4))
+        want = run_grid(session, spec).to_dict()
+        channels = session.samples.shape[0]
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(channels)
+            permuted = replace(session, samples=session.samples[order])
+            assert run_grid(permuted, spec).to_dict() == want
+
+
+class TestBlasHold:
+    """``run_grid`` holds numpy's OpenBLAS to one thread for its whole body
+    and puts the previous count back on every exit path."""
+
+    def test_fits_run_at_one_thread_and_the_count_comes_back(
+        self, drift_session, monkeypatch, blas_count
+    ):
+        get, count = blas_count
+        seen = []
+        train_svm = clf.train_svm
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return train_svm(*args, **kwargs)
+
+        monkeypatch.setattr(clf, "train_svm", spy)
+        run_grid(drift_session, small_spec(256.0))
+        assert len(seen) == 2 and set(seen) == {1}
+        assert get() == count
+
+    def test_count_comes_back_after_leakage_error(
+        self, drift_session, monkeypatch, blas_count
+    ):
+        get, count = blas_count
+        every_trial = ba.segment(drift_session, 40.0, 440.0)
+        monkeypatch.setattr(features, "select_channels",
+                            lambda trials, m: every_trial)
+        with pytest.raises(LeakageError):
+            run_grid(drift_session, small_spec(256.0, classifiers=("knn",)))
+        assert get() == count
+
+    def test_count_comes_back_after_check_grid_rejects(self, blas_count):
+        get, count = blas_count
+        session = make_session()  # two one-trial blocks
+        with pytest.raises(ValueError, match="need >= 3 to stratify"):
+            run_grid(session, small_spec(100.0, windows=(100.0,)))
+        assert get() == count
 
 
 class TestChannelOrderInPlace:

@@ -524,6 +524,85 @@ def test_openblas_lookup_finds_the_bundled_library():
     assert classifiers._openblas_thread_fns() is not None
 
 
+class TestBlasRelease:
+    """The size-gated release of the one-thread hold that ``audit.run_grid``
+    and the CNN take: counts only, never timings."""
+
+    GATE = classifiers._RELEASE_MACS
+    # the bytes a thin product must stream to reach the gate
+    GATE_BYTES = GATE // classifiers._MACS_PER_BYTE
+    hold = classifiers._one_blas_thread
+
+    @pytest.mark.parametrize("macs, nbytes", [
+        (GATE, 0), (0, GATE_BYTES), (2 * GATE, 2 * GATE_BYTES),
+    ], ids=["macs", "bytes", "both"])
+    def test_large_product_gets_the_held_over_count(self, blas_count, macs,
+                                                    nbytes):
+        get, count = blas_count
+        seen = []
+        with self.hold:
+            seen.append(get())
+            with self.hold.released(macs, nbytes):
+                seen.append(get())
+            seen.append(get())
+            with pytest.raises(RuntimeError), self.hold.released(macs, nbytes):
+                seen.append(get())
+                raise RuntimeError("product failed")
+            seen.append(get())
+        assert seen == [1, count, 1, count, 1] and get() == count
+
+    def test_product_below_the_gate_stays_at_one_thread(self, blas_count):
+        get, count = blas_count
+        with self.hold, self.hold.released(self.GATE - 1, self.GATE_BYTES - 1):
+            assert get() == 1
+        assert get() == count
+
+    def test_outside_any_hold_the_gate_changes_nothing(self, blas_count):
+        get, count = blas_count
+        for macs, nbytes in ((0, 0), (self.GATE, 0), (0, self.GATE_BYTES)):
+            with self.hold.released(macs, nbytes):
+                assert get() == count
+            assert get() == count
+
+    def test_nested_holds_and_overlapping_releases(self, blas_count):
+        # the grid's hold around a CNN's; the count comes back to 1 only
+        # when the last release ends, and to the previous count when the
+        # last hold leaves
+        get, count = blas_count
+        with self.hold:
+            with self.hold, self.hold.released(self.GATE, 0):
+                with self.hold.released(0, self.GATE_BYTES):
+                    assert get() == count
+                assert get() == count
+            assert get() == 1
+        assert get() == count
+
+    def test_product_sites_pass_their_sizes(self, monkeypatch):
+        sizes = []
+        hold = classifiers._one_blas_thread
+
+        class Recorder:
+            def released(self, macs, nbytes):
+                sizes.append((macs, nbytes))
+                return hold.released(macs, nbytes)
+
+        monkeypatch.setattr(classifiers, "_one_blas_thread", Recorder())
+        rng = np.random.default_rng(0)
+        n, dim, classes = 12, 40, 3
+        x = rng.standard_normal((n, dim)).astype(np.float32)
+        y = np.arange(n) % classes
+        train_svm(x, y, TrainConfig(epochs=1))
+        # the Gram X Xᵀ, then the weights (aᵀX)ᵀ, each streaming X
+        assert sizes == [(n * n * dim, x.nbytes), (classes * n * dim, x.nbytes)]
+        sizes.clear()
+        train_mlp(x, y, hidden=5, config=TrainConfig(epochs=1))
+        assert sizes == [(n * n * dim, x.nbytes), (5 * n * dim, x.nbytes)]
+        sizes.clear()
+        KnnModel(x, y, k=1).predict(rng.standard_normal((300, dim)))
+        # one distance product per chunk of 256 queries
+        assert sizes == [(256 * n * dim, x.nbytes), (44 * n * dim, x.nbytes)]
+
+
 class TestGradientChecks:
     def test_mlp_gradients(self):
         rng = np.random.default_rng(11)

@@ -362,8 +362,9 @@ class TestAudit:
         }))
         assert main(["audit", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert ("invalid audit config at grid: train and test must be "
-                "non-empty") in err
+        assert ("invalid audit config at grid: within_block split with "
+                "fractions (0.8, 0.1, 0.1) leaves no test trial: a test share "
+                "of 0.1 rounds to 0 on at most 3 trials per block") in err
         assert grid_calls == []
         assert not (tmp_path / "r").exists()
 
@@ -527,7 +528,8 @@ print(json.dumps(ba.run_grid(session, spec).to_dict(), sort_keys=True))
 
 
 def test_four_classifier_grid_identical_under_one_and_two_blas_threads():
-    # the CNN holds OpenBLAS to one thread for its fit and the MLP does not
+    # the grid holds OpenBLAS to one thread; a product past the size gate
+    # gets the held-over count back
     src = str(Path(__file__).resolve().parents[1] / "src")
     grids = {}
     for threads in ("1", "2"):

@@ -141,6 +141,37 @@ class TestBlockDisjoint:
             split_block_disjoint(tm, (0.6, 0.2, 0.2), seed=0)
 
 
+class TestNoTestTrial:
+    """A holdout whose fractions round every group's test share to 0 names
+    the regime, the fractions and the largest group it dealt."""
+
+    @pytest.mark.parametrize("split, tm, fractions, tail", [
+        (split_within_block, block_design(2, 3, 3), (0.8, 0.1, 0.1),
+         "a test share of 0.1 rounds to 0 on at most 3 trials per block"),
+        # blocks of 3, 4 and 5 trials: the largest is named
+        (split_within_block, matrix([0] * 12, [0] * 3 + [1] * 4 + [2] * 5),
+         (0.9, 0.05, 0.05),
+         "a test share of 0.05 rounds to 0 on at most 5 trials per block"),
+        (split_block_disjoint, block_design(2, 3, 4), (0.8, 0.1, 0.1),
+         "a test share of 0.1 rounds to 0 on at most 3 blocks per class"),
+        # rapid-event: every block holds both classes, dealt as one group
+        (split_block_disjoint, matrix([0, 1, 0] * 4, np.repeat(np.arange(4), 3)),
+         (0.9, 0.05, 0.05),
+         "a test share of 0.05 rounds to 0 on at most 4 blocks"),
+    ], ids=["within_block", "within_block_mixed_sizes", "block_disjoint",
+            "block_disjoint_rapid"])
+    def test_message_names_regime_fractions_and_group_size(
+        self, split, tm, fractions, tail
+    ):
+        regime = split.__name__.removeprefix("split_")
+        want = (f"{regime} split with fractions {fractions} leaves no test "
+                f"trial: {tail}")
+        for seed in range(4):
+            with pytest.raises(ValueError) as exc:
+                split(tm, fractions, seed)
+            assert str(exc.value) == want
+
+
 class TestLeaveOneSubjectOut:
     def test_complement_pair(self):
         tm = matrix([0, 1, 0, 1], [0, 0, 1, 1],
@@ -224,7 +255,7 @@ class TestPlanProperties:
                 plans = split(tm, fractions, seed)
             except ValueError as exc:
                 # a deal that leaves every test share empty
-                assert "non-empty" in str(exc)
+                assert "leaves no test trial" in str(exc)
                 continue
             (plan,) = plans
             check_plan(plan, tm)
