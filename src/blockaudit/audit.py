@@ -24,6 +24,7 @@ enter the derivation, so ablations are exactly paired.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass, field, replace
 from enum import Enum
 from itertools import product
@@ -118,6 +119,11 @@ class GridSpec:
         if set(self.classifiers) - set(CLASSIFIERS) or not self.classifiers:
             raise ValueError(
                 f"classifiers must be a non-empty subset of {CLASSIFIERS}")
+        for name in ("knn_k", "mlp_hidden", "cnn_kernels", "cnn_kernel_len",
+                     "cnn_pool_len", "cnn_pool_stride"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r} must be an integer")
         if self.knn_k < 1:
             raise ValueError(f"knn_k={self.knn_k!r} must be >= 1")
         if self.mlp_hidden < 1:
@@ -147,10 +153,9 @@ class GridSpec:
                     f"grid axis windows_ms has {w!r}, want a finite value > 0"
                 )
         for c in self.channel_counts:
-            if c < 0:
-                raise ValueError(
-                    f"grid axis channel_counts has {c!r}, want >= 0 (0: all)"
-                )
+            if not isinstance(c, numbers.Integral) or c < 0:
+                raise ValueError(f"grid axis channel_counts has {c!r}, "
+                                 "want an integer >= 0 (0: all)")
 
 
 @dataclass(frozen=True)
@@ -278,11 +283,12 @@ def check_grid(
     Raises ValueError, before any sample is filtered, if the grid cannot
     run on these sessions: a session without events, a window
     (``start_offset_ms`` plus the longest window) past the end of some
-    event, a ``cnn1d`` kernel or pooling window longer than the shortest
-    window allows, or a split regime the trial design cannot satisfy (too
-    few blocks per class, trials per block or subjects, or blocks too small
-    to leave a test trial).  The plans are the ones :func:`run_grid` uses:
-    the split functions read only labels, block ids and subject ids."""
+    event, sessions whose channel counts or sample rates differ, a ``cnn1d``
+    kernel or pooling window longer than the shortest window allows, or a
+    split regime the trial design cannot satisfy (too few blocks per class,
+    trials per block or subjects, or blocks too small to leave a test
+    trial).  The plans are the ones :func:`run_grid` uses: the split
+    functions read only labels, block ids and subject ids."""
     sessions = _sessions(data)
     for s in sessions:
         check_window(s, spec.start_offset_ms, max(spec.windows_ms))
@@ -304,11 +310,12 @@ def check_grid(
                 f"samples at {rate:g} Hz: {exc}"
             ) from None
     # each trial's label, block and subject as the grid's matrix carries
-    # them, with an empty sample stack
+    # them, with an empty sample stack of the session's channel count, so
+    # that concat_trials rejects sessions whose channel counts differ
     design = concat_trials(
         [
             TrialMatrix(
-                trials=np.empty((len(s.events), 0, 0), dtype=np.float32),
+                trials=np.empty((len(s.events), s.channels, 0), dtype=np.float32),
                 labels=[ev.class_label for ev in s.events],
                 block_ids=[ev.block_id for ev in s.events],
                 subject_ids=np.array([s.subject_id] * len(s.events)),

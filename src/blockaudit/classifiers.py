@@ -1,9 +1,11 @@
 """From-scratch classifiers: k-NN, linear SVM, MLP, and a 1-D CNN.
 
 All training is plain mini-batch stochastic gradient descent with momentum,
-fully seeded, in numpy.  Every gradient-trained model exposes
-``loss_and_grads`` (dropout disabled) and ``param_arrays``, so its backward
-pass can be checked against central finite differences.
+fully seeded, in numpy.  Each model has at most one regularizer: the SVM's
+L2 penalty and the CNN's dropout of 0.5; the MLP has none.  Every
+gradient-trained model exposes ``loss_and_grads`` (dropout disabled) and
+``param_arrays``, so its backward pass can be checked against central
+finite differences.
 
 Trained models are immutable in practice (weights are not mutated after
 training) and safe to share for inference.
@@ -140,7 +142,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     momentum: float = 0.9
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         # NaN fails every comparison, so each range is written to reject it
@@ -151,7 +152,6 @@ class TrainConfig:
              and self.batch_size >= 1, "an integer >= 1"),
             ("learning_rate", 0 < self.learning_rate < np.inf, "finite and > 0"),
             ("momentum", 0 <= self.momentum <= 1, "in [0, 1]"),
-            ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
         ):
             if not ok:
                 raise ValueError(f"{name}={getattr(self, name)!r} must be {want}")
@@ -416,20 +416,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class MlpModel:
     """Two fully connected layers with a sigmoid after the first."""
 
-    def __init__(self, w1, b1, w2, b2, weight_decay: float = 0.0):
+    def __init__(self, w1, b1, w2, b2):
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-        self.weight_decay = float(weight_decay)
 
     @classmethod
     def init(cls, dim: int, hidden: int, classes: int, seed: int,
-             dtype=np.float64, weight_decay: float = 0.0) -> "MlpModel":
+             dtype=np.float64) -> "MlpModel":
         rng = np.random.default_rng(seed)
         return cls(
             _glorot_uniform(rng, dim, hidden, (dim, hidden), dtype),
             np.zeros(hidden, dtype=dtype),
             _glorot_uniform(rng, hidden, classes, (hidden, classes), dtype),
             np.zeros(classes, dtype=dtype),
-            weight_decay=weight_decay,
         )
 
     def param_arrays(self):
@@ -443,16 +441,11 @@ class MlpModel:
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
         loss, dhidden, (gb1, gw2, gb2) = self._backprop(x @ self.w1, y)
-        gw1 = x.T @ dhidden
-        if self.weight_decay:
-            loss += 0.5 * self.weight_decay * float(np.sum(self.w1**2))
-            gw1 += self.weight_decay * self.w1
-        return float(loss), [gw1, gb1, gw2, gb2]
+        return float(loss), [x.T @ dhidden, gb1, gw2, gb2]
 
     def _backprop(self, pre: np.ndarray, y: np.ndarray):
         """Loss, d(loss)/d(pre) and the gradients of b1, w2 and b2, given the
-        first layer's pre-activations ``pre = x @ w1`` (before ``b1``).
-        Weight decay enters for ``w2`` only; the caller adds ``w1``'s."""
+        first layer's pre-activations ``pre = x @ w1`` (before ``b1``)."""
         hidden = _sigmoid(pre + self.b1)
         logits = hidden @ self.w2 + self.b2
         loss, dlogits = _softmax_cross_entropy(logits, y)
@@ -460,9 +453,6 @@ class MlpModel:
         gb2 = dlogits.sum(axis=0)
         dhidden = (dlogits @ self.w2.T) * hidden * (1.0 - hidden)
         gb1 = dhidden.sum(axis=0)
-        if self.weight_decay:
-            loss += 0.5 * self.weight_decay * float(np.sum(self.w2**2))
-            gw2 += self.weight_decay * self.w2
         return loss, dhidden, (gb1, gw2, gb2)
 
 
@@ -477,13 +467,11 @@ def train_mlp(
     ``hidden`` below 1 raises ``ValueError``.  When features outnumber
     training trials (``D > n``) the first layer trains in Gram space, on the
     row-space path ``train_svm`` uses.  Every gradient step adds a
-    combination of training rows to ``w1``, so ``w1 = α·w1₀ + Xᵀa`` at every
-    step, with ``w1₀`` the Glorot init, ``a`` an (n, hidden) coefficient
-    matrix starting at zero and ``α`` a scalar starting at 1 whose gradient
-    is ``weight_decay·α`` (it stays exactly 1 without weight decay).  With
-    ``K = X Xᵀ`` and ``P₀ = X w1₀`` built once, batch pre-activations are
-    ``α·P₀[idx] + K[idx] @ a + b1``, and the ``w1`` gradient becomes the
-    backpropagated batch rows of ``a`` plus ``weight_decay·a``.  The
+    combination of training rows to ``w1``, so ``w1 = w1₀ + Xᵀa`` at every
+    step, with ``w1₀`` the Glorot init and ``a`` an (n, hidden) coefficient
+    matrix starting at zero.  With ``K = X Xᵀ`` and ``P₀ = X w1₀`` built
+    once, batch pre-activations are ``P₀[idx] + K[idx] @ a + b1``, and the
+    ``w1`` gradient becomes the backpropagated batch rows of ``a``.  The
     iterates equal the primal ones step for step in exact arithmetic; in
     floating point they differ by rounding only.  Each step then costs
     O(batch·n·hidden) instead of O(batch·D·hidden) in the first layer,
@@ -495,39 +483,26 @@ def train_mlp(
     train_x, train_y, dtype = _training_set(train_x, train_y, "MLP")
     classes = int(train_y.max()) + 1
     n, dim = train_x.shape
-    model = MlpModel.init(
-        dim, hidden, classes, seed=config.seed, dtype=dtype,
-        weight_decay=config.weight_decay,
-    )
+    model = MlpModel.init(dim, hidden, classes, seed=config.seed, dtype=dtype)
     rng = np.random.default_rng(config.seed + 1)  # shuffles; init used config.seed
     if dim <= n:
         _sgd(model.param_arrays(), n, config, rng,
              lambda idx: model.loss_and_grads(train_x[idx], train_y[idx]), "MLP")
         return model
     x = train_x.astype(dtype, copy=False)
-    decay = config.weight_decay
-    alpha = np.ones((), dtype=dtype)  # w1 = α·w1₀ + Xᵀa
 
     def fit(gram):
         proj = x @ model.w1  # P₀
         coef = np.zeros((n, hidden), dtype=dtype)
-        init_sq = float(np.sum(model.w1**2)) if decay else 0.0
 
         def step(idx):
             loss, dhidden, grads = model._backprop(
-                alpha * proj[idx] + gram[idx] @ coef, train_y[idx])
-            grad = decay * coef
-            grad[idx] += dhidden  # batch rows are distinct within one permutation
-            if decay:  # ‖w1‖² = α²‖w1₀‖² + 2α·Σ(P₀∘a) + Σ(a∘Ka)
-                loss += 0.5 * decay * (
-                    alpha**2 * init_sq + 2.0 * alpha * np.vdot(proj, coef)
-                    + np.vdot(coef, gram @ coef))
-            return float(loss), [decay * alpha, grad, *grads]
+                proj[idx] + gram[idx] @ coef, train_y[idx])
+            grad = np.zeros_like(coef)
+            grad[idx] = dhidden  # batch rows are distinct within one permutation
+            return float(loss), [grad, *grads]
 
-        _sgd([alpha, coef, model.b1, model.w2, model.b2], n, config, rng, step,
-             "MLP")
-        if alpha != 1:
-            model.w1 *= alpha
+        _sgd([coef, model.b1, model.w2, model.b2], n, config, rng, step, "MLP")
         return coef
 
     _fit_in_row_space(x, fit, into=model.w1)
@@ -563,16 +538,15 @@ class Cnn1dConfig:
     up to 2 worker threads, never more than the usable CPUs (the worker rule
     ``dsp.apply_filter`` shares), with numpy's OpenBLAS held to one thread
     for the call; the results are bit-identical to one chunk after another.
-    ``dropout_p`` is 0 or 0.5: a mask draws one random bit per
-    element, an exact Bernoulli draw.  The first mask draws its bits over
-    ``ceil(t1 / kernel_len)·kernel_len`` points per channel and uses those
-    of the computed tiles, so a seeded mask stream does not depend on the
-    pooling layout.
+    Dropout is 0.5 in training: a mask draws one random bit per element, an
+    exact Bernoulli draw.  The first mask draws its bits over
+    ``ceil(t1 / kernel_len)·kernel_len`` points per channel and uses those of
+    the computed tiles, so a seeded mask stream does not depend on the pooling
+    layout.
     """
 
     kernels: int = 8
     kernel_len: int = 32
-    dropout_p: float = 0.5
     pool_len: int = 128
     pool_stride: int = 64
     classes: int = 40
@@ -580,8 +554,6 @@ class Cnn1dConfig:
     def __post_init__(self):
         if self.kernel_len < 1 or self.kernels < 1:
             raise ValueError("kernels and kernel_len must be >= 1")
-        if self.dropout_p not in (0.0, 0.5):
-            raise ValueError(f"dropout_p must be 0 or 0.5, got {self.dropout_p!r}")
         if self.pool_len < 1 or self.pool_stride < 1:
             raise ValueError("pool_len and pool_stride must be >= 1")
 
@@ -603,11 +575,10 @@ class Cnn1dModel:
     """The 1-D CNN with explicit forward and backward passes."""
 
     def __init__(self, config: Cnn1dConfig, channels: int, width: int,
-                 seed: int, dtype=np.float64, weight_decay: float = 0.0):
+                 seed: int, dtype=np.float64):
         self.config = config
         self.channels = channels
         self.width = width
-        self.weight_decay = float(weight_decay)
         self.t1 = config.conv_length(width)
         self.pooled = config.pooled_points(width)
         k, L, c = config.kernels, config.kernel_len, config.classes
@@ -643,8 +614,7 @@ class Cnn1dModel:
 
     def _mask_bytes(self, size: int) -> np.ndarray:
         """``size`` random bits packed into bytes: a dropout draw of one bit
-        per element, an exact Bernoulli(1/2) (a mask is drawn only when
-        p = 0.5)."""
+        per element, an exact Bernoulli(1/2)."""
         return np.frombuffer(self._mask_rng.bytes(-(-size // 8)), dtype=np.uint8)
 
     def _mask(self, shape, dtype) -> np.ndarray:
@@ -695,13 +665,12 @@ class Cnn1dModel:
         band = self._band()
         bias = np.tile(self.conv_b, L)  # per column of a (rows, L·K) conv block
         dtype = np.result_type(tiles, band)
-        drop = train and cfg.dropout_p > 0
-        if drop:
+        if train:
             # mask 1 draws bits for ceil(t1/L)·L points per channel and uses the
             # first n_tiles·L: the stream does not depend on the pooling layout
             per_trial = ch * -(-self.t1 // L) * L * K
             raw = self._mask_bytes(n * per_trial)
-        pool = self._pool_dropped if drop else self._pool
+        pool = self._pool_dropped if train else self._pool
         feat = np.empty((n, self.pooled, ch, K), dtype=dtype)
         deriv = np.empty((n, ch, points, K), dtype=dtype) if need_grads else None
         # a few trials at a time, so that each chunk's conv output and its
@@ -717,7 +686,7 @@ class Cnn1dModel:
             act = np.maximum(conv, 0, out=conv)
             act += neg
             act = act.reshape(e - s, ch, points, K)
-            if drop:
+            if train:
                 # bits lo..hi of the stream, unpacked from the byte holding lo
                 lo, hi = s * per_trial, e * per_trial
                 bits = np.unpackbits(raw[lo // 8 :], count=hi - lo // 8 * 8)[lo % 8 :]
@@ -726,7 +695,7 @@ class Cnn1dModel:
             if need_grads:
                 d = deriv[s:e]
                 np.add(neg.reshape(d.shape), 1.0, out=d)
-                if drop:
+                if train:
                     d *= bits  # the backward pass needs only the product
             # pool over time: (chunk, ch, P, K) into (chunk, P, ch, K)
             feat[s:e] = np.matmul(pool.T, act).transpose(0, 2, 1, 3)
@@ -738,7 +707,7 @@ class Cnn1dModel:
         cache["feat"] = feat
         # fc_time per pooled point: (n, P, ch·K) -> (n, P, C)
         pooled = feat @ self.fc_time_w + self.fc_time_b
-        if drop:
+        if train:
             mask2 = self._mask(pooled.shape, pooled.dtype)
             pooled *= mask2
             cache["mask2"] = mask2
@@ -815,13 +784,7 @@ class Cnn1dModel:
         y = np.asarray(y, dtype=np.int64)
         logits, cache = self._forward(x, train, True, chunk_map)
         loss, dlogits = _softmax_cross_entropy(logits, y)
-        grads = self._backward(x, dlogits, cache, chunk_map)
-        if self.weight_decay:
-            for p, g in zip(self.param_arrays(), grads):
-                if p.ndim > 1:  # weights only, not biases
-                    loss += 0.5 * self.weight_decay * float(np.sum(p**2))
-                    g += self.weight_decay * p
-        return float(loss), grads
+        return float(loss), self._backward(x, dlogits, cache, chunk_map)
 
 
 def train_cnn1d(
@@ -850,7 +813,6 @@ def train_cnn1d(
     model = Cnn1dModel(
         config, channels=x.shape[1], width=x.shape[2],
         seed=train_config.seed, dtype=dtype,
-        weight_decay=train_config.weight_decay,
     )
     rng = np.random.default_rng(train_config.seed + 1)
     with _one_blas_thread, ThreadPoolExecutor(worker_threads()) as workers:

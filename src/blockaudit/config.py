@@ -38,7 +38,6 @@ _TRAIN_SCHEMA = {
         "batch_size": {"type": "integer", "minimum": 1},
         "learning_rate": {"type": "number", "exclusiveMinimum": 0},
         "momentum": {"type": "number", "minimum": 0, "maximum": 1},
-        "weight_decay": {"type": "number", "minimum": 0},
     },
     "additionalProperties": False,
 }

@@ -80,7 +80,7 @@ class Session:
         Signed amplitudes in arbitrary units; NaN or infinite samples are
         rejected with a message naming the first such channel and sample.
     sample_rate : float
-        Sampling rate in Hz, > 0.
+        Sampling rate in Hz, finite and > 0.
     subject_id : str
         Identifier of the recorded subject.
     events : tuple of TrialEvent
@@ -106,8 +106,8 @@ class Session:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "events", tuple(self.events))
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be > 0")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError(f"sample_rate={self.sample_rate!r} must be finite and > 0")
         self._validate_events()
 
     def _validate_events(self):

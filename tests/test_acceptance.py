@@ -224,13 +224,13 @@ class TestCriterion6NumericalOptimization:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 5))
         y = rng.integers(0, 3, 6)
-        model = ba.MlpModel.init(5, 7, 3, seed=1, weight_decay=1e-3)
+        model = ba.MlpModel.init(5, 7, 3, seed=1)
         assert gradient_check(model, x, y, epsilon=1e-3) < 1e-4
 
     def test_cnn_gradient_check(self):
         rng = np.random.default_rng(1)
         cfg = ba.Cnn1dConfig(kernels=2, kernel_len=4, pool_len=6,
-                             pool_stride=3, classes=3, dropout_p=0.0)
+                             pool_stride=3, classes=3)
         model = ba.Cnn1dModel(cfg, channels=2, width=16, seed=2)
         x = rng.standard_normal((4, 2, 16))
         y = rng.integers(0, 3, 4)

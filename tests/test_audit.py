@@ -301,6 +301,31 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="session has no events"):
             run_grid(make_session(events=()), spec)
 
+    def test_channel_counts_that_differ_raise_before_any_filter(
+        self, monkeypatch
+    ):
+        # it used to raise only after every session had been filtered
+        calls = []
+
+        def count(sos, data, *args):
+            calls.append(data)
+            return data
+
+        monkeypatch.setattr(dsp, "apply_filter", count)
+        sessions = [
+            ba.generate_session(
+                ba.make_block_schedule(3, 12, 500.0, 200.0, seed=seed,
+                                       blocks_per_class=3),
+                channels=channels, sample_rate=256.0, drift=ba.DriftParams(),
+                evoked=ba.EvokedParams(), subject_id=subject, seed=seed,
+            )
+            for seed, channels, subject in ((1, 4, "a"), (2, 5, "b"))
+        ]
+        spec = replace(small_spec(256.0), filter_configs=(NOTCH_ARM,))
+        with pytest.raises(ValueError, match="disagree on channels"):
+            run_grid(sessions, spec)
+        assert calls == []
+
     def test_check_grid_plans_are_the_segmented_matrix_plans(self):
         sessions = [
             ba.generate_session(
@@ -378,16 +403,27 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("axis, values, shown", [
         ("channel_counts", (0, -3), "-3"),
+        ("channel_counts", (0, 2.5), "2.5"),
         ("windows_ms", (440.0, 0.0), "0.0"),
         ("windows_ms", (-5.0,), "-5.0"),
         ("windows_ms", (float("nan"),), "nan"),
         ("windows_ms", (float("inf"),), "inf"),
-    ], ids=["negative_channels", "zero_window", "negative_window",
-            "nan_window", "inf_window"])
+    ], ids=["negative_channels", "fractional_channels", "zero_window",
+            "negative_window", "nan_window", "inf_window"])
     def test_bad_axis_value_rejected(self, axis, values, shown):
         # -3 used to mean all channels; a bad window failed mid-run
         with pytest.raises(ValueError, match=f"grid axis {axis} has {shown}"):
             replace(small_spec(256.0), **{axis: values})
+
+    @pytest.mark.parametrize("name, value", [
+        ("knn_k", 2.5), ("mlp_hidden", 2.5), ("cnn_kernels", 2.5),
+        ("cnn_kernel_len", 32.0), ("cnn_pool_len", 2.5), ("cnn_pool_stride", 2.5),
+    ])
+    def test_non_integral_setting_rejected(self, name, value):
+        # it used to build, then fail run_grid with a TypeError after filtering
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}={value!r} must be an integer")):
+            replace(small_spec(256.0), **{name: value})
 
     @pytest.mark.parametrize("axis, value, where", [
         ("channel_counts", -3, "grid/channel_counts/0"),

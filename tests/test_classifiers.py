@@ -275,7 +275,6 @@ class TestTrainConfig:
         ("learning_rate", float("nan")), ("learning_rate", 0.0),
         ("learning_rate", float("inf")),
         ("momentum", 1.5), ("momentum", -0.5), ("momentum", float("nan")),
-        ("weight_decay", -1.0), ("weight_decay", float("nan")),
     ])
     def test_setting_outside_the_schema_rejected(self, field, value):
         # each used to fail late, once per cell, or train silently
@@ -283,7 +282,7 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
     def test_schema_edges_accepted(self):
-        TrainConfig(momentum=0.0, weight_decay=0.0)
+        TrainConfig(momentum=0.0)
         TrainConfig(momentum=1.0)
 
     @pytest.mark.parametrize("field, value", [
@@ -354,16 +353,13 @@ class TestMlp:
     @staticmethod
     def _primal_reference(x, y, hidden, cfg):
         model = MlpModel.init(x.shape[1], hidden, int(y.max()) + 1,
-                              seed=cfg.seed, dtype=x.dtype,
-                              weight_decay=cfg.weight_decay)
+                              seed=cfg.seed, dtype=x.dtype)
         classifiers._sgd(model.param_arrays(), len(x), cfg,
                          np.random.default_rng(cfg.seed + 1),
                          lambda idx: model.loss_and_grads(x[idx], y[idx]), "MLP")
         return model
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
-    def test_gram_path_matches_primal_reference(self, weight_decay,
-                                                monkeypatch):
+    def test_gram_path_matches_primal_reference(self, monkeypatch):
         # 300 features for 48 trials trains the first layer in Gram space;
         # the iterates and the step losses equal the primal ones up to rounding
         losses = []
@@ -384,8 +380,7 @@ class TestMlp:
         rng = np.random.default_rng(15)
         y = np.arange(48) % 3
         x = rng.standard_normal((48, 300)) + 1.5 * np.eye(3, 300)[y]
-        cfg = TrainConfig(seed=4, epochs=20, batch_size=16, learning_rate=5e-2,
-                          weight_decay=weight_decay)
+        cfg = TrainConfig(seed=4, epochs=20, batch_size=16, learning_rate=5e-2)
         gram = train_mlp(x, y, hidden=8, config=cfg)
         primal = self._primal_reference(x, y, 8, cfg)
         for got, want in zip(gram.param_arrays(), primal.param_arrays()):
@@ -397,13 +392,11 @@ class TestMlp:
         assert len(losses) == 2 and len(losses[0]) == 20 * 3
         np.testing.assert_allclose(losses[0], losses[1], rtol=1e-9)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
-    def test_primal_path_equals_reference_bit_for_bit(self, weight_decay):
+    def test_primal_path_equals_reference_bit_for_bit(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((60, 60))
         y = np.arange(60) % 4
-        cfg = TrainConfig(seed=2, epochs=5, batch_size=16, learning_rate=1e-2,
-                          weight_decay=weight_decay)
+        cfg = TrainConfig(seed=2, epochs=5, batch_size=16, learning_rate=1e-2)
         model = train_mlp(x, y, hidden=6, config=cfg)
         reference = self._primal_reference(x, y, 6, cfg)
         for got, want in zip(model.param_arrays(), reference.param_arrays()):
@@ -446,18 +439,13 @@ class TestCnnShapes:
 
     def test_inference_deterministic_despite_dropout(self):
         cfg = Cnn1dConfig(kernels=2, kernel_len=5, pool_len=8, pool_stride=4,
-                          classes=3, dropout_p=0.5)
+                          classes=3)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((6, 3, 32))
         y = rng.integers(0, 3, 6)
         model = train_cnn1d(x, y, cfg, TrainConfig(seed=0, epochs=2,
                                                    learning_rate=1e-3))
         np.testing.assert_array_equal(model.logits(x), model.logits(x))
-
-    @pytest.mark.parametrize("p", [0.2, 0.75, -0.5])
-    def test_dropout_other_than_0_or_half_rejected(self, p):
-        with pytest.raises(ValueError, match=f"dropout_p must be 0 or 0.5, got {p}"):
-            Cnn1dConfig(dropout_p=p)
 
     def test_dropout_mask_is_fair_and_scaled(self):
         model = Cnn1dModel(Cnn1dConfig(classes=3), channels=1, width=160,
@@ -479,7 +467,7 @@ class TestCnnShapes:
 
     def test_training_masks_vary_by_step(self):
         cfg = Cnn1dConfig(kernels=2, kernel_len=5, pool_len=8, pool_stride=4,
-                          classes=2, dropout_p=0.5)
+                          classes=2)
         model = Cnn1dModel(cfg, channels=2, width=20, seed=0)
         x = np.random.default_rng(10).standard_normal((3, 2, 20))
         y = np.array([0, 1, 0])
@@ -608,15 +596,14 @@ class TestGradientChecks:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, 5)
-        model = MlpModel.init(4, 6, 3, seed=1, weight_decay=1e-2)
+        model = MlpModel.init(4, 6, 3, seed=1)
         assert gradient_check(model, x, y, epsilon=1e-3) < 1e-4
 
     def test_cnn_gradients_shared(self):
         rng = np.random.default_rng(12)
         cfg = Cnn1dConfig(kernels=2, kernel_len=4, pool_len=6, pool_stride=3,
-                          classes=3, dropout_p=0.0)
-        model = Cnn1dModel(cfg, channels=2, width=16, seed=2,
-                           weight_decay=1e-3)
+                          classes=3)
+        model = Cnn1dModel(cfg, channels=2, width=16, seed=2)
         x = rng.standard_normal((4, 2, 16))
         y = rng.integers(0, 3, 4)
         assert gradient_check(model, x, y, epsilon=1e-3) < 1e-4
@@ -626,9 +613,8 @@ class TestGradientChecks:
         # masks and the loss is a smooth function of the parameters
         rng = np.random.default_rng(19)
         cfg = Cnn1dConfig(kernels=2, kernel_len=4, pool_len=6, pool_stride=3,
-                          classes=3, dropout_p=0.5)
-        model = Cnn1dModel(cfg, channels=2, width=16, seed=5,
-                           weight_decay=1e-3)
+                          classes=3)
+        model = Cnn1dModel(cfg, channels=2, width=16, seed=5)
         x = rng.standard_normal((4, 2, 16))
         y = rng.integers(0, 3, 4)
         state = model._mask_rng.bit_generator.state
@@ -646,7 +632,7 @@ class TestGradientChecks:
 
     def test_cnn_large_preactivations_stay_finite(self):
         cfg = Cnn1dConfig(kernels=2, kernel_len=4, pool_len=6, pool_stride=3,
-                          classes=3, dropout_p=0.0)
+                          classes=3)
         model = Cnn1dModel(cfg, channels=2, width=16, seed=0, dtype=np.float32)
         x = np.full((2, 2, 16), 500.0, dtype=np.float32)
         # one kernel sees a pre-activation far past expm1's float32 overflow
@@ -745,7 +731,7 @@ class TestCnnPoolFirst:
         self, kernel_len, pool_len, pool_stride, width, tail
     ):
         cfg = Cnn1dConfig(kernels=2, kernel_len=kernel_len, pool_len=pool_len,
-                          pool_stride=pool_stride, classes=3, dropout_p=0.0)
+                          pool_stride=pool_stride, classes=3)
         model = Cnn1dModel(cfg, channels=3, width=width, seed=4)
         # time points after the last pooling window feed no class score
         assert model.t1 - (model.pooled - 1) * pool_stride - pool_len == tail
@@ -780,10 +766,10 @@ class TestCnnChunks:
     CFG = dict(kernels=3, kernel_len=7, pool_len=16, pool_stride=12, classes=3)
     WIDTH, POINTS, POINTS_DRAWN = 206, 196, 203
 
-    def chunked_model(self, dropout_p, n=7):
+    def chunked_model(self, n=7):
         """A float64 model whose n-trial batch spans 4 chunks of 2, 2, 2 and
         1 trials: a trial's conv output is just over a third of the budget."""
-        cfg = Cnn1dConfig(dropout_p=dropout_p, **self.CFG)
+        cfg = Cnn1dConfig(**self.CFG)
         per_point = cfg.kernels * np.dtype(np.float64).itemsize
         ch = _CHUNK_BYTES // (2 * self.POINTS * per_point)
         assert _CHUNK_BYTES // (ch * self.POINTS * per_point) == 2
@@ -797,7 +783,7 @@ class TestCnnChunks:
         return model, x, y
 
     def test_chunks_match_per_trial_step(self):
-        model, x, y = self.chunked_model(0.0)
+        model, x, y = self.chunked_model()
         logits = model.logits(x)
         _, grads = model.loss_and_grads(x, y)
         for i in range(len(y)):
@@ -809,7 +795,7 @@ class TestCnnChunks:
             _assert_close(got, np.mean(trial_grads, axis=0))
 
     def test_train_step_uses_the_pinned_mask_stream(self):
-        model, x, y = self.chunked_model(0.5)
+        model, x, y = self.chunked_model()
         n, ch, _ = x.shape
         k, c = model.config.kernels, model.config.classes
         # mask 1 draws ceil(t1/L)·L points per channel, an odd bit count per
@@ -827,9 +813,9 @@ class TestCnnChunks:
         for got, want in zip(grads, want_grads):
             _assert_close(got, want)
 
-    @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
-    def test_one_and_two_workers_are_bit_identical(self, monkeypatch, dropout_p):
-        model, x, y = self.chunked_model(dropout_p)
+    @pytest.mark.parametrize("train", [False, True])
+    def test_one_and_two_workers_are_bit_identical(self, monkeypatch, train):
+        model, x, y = self.chunked_model()
         assert -(-len(y) // model._chunk) == 4
         state = model._mask_rng.bit_generator.state
         runs = {}
@@ -837,14 +823,14 @@ class TestCnnChunks:
             monkeypatch.setattr(classifiers, "worker_threads", lambda n=workers: n)
             model._mask_rng.bit_generator.state = state
             with ThreadPoolExecutor(workers) as pool:
-                grads = model._loss_and_grads(x, y, True, pool.map)[1]
+                grads = model._loss_and_grads(x, y, train, pool.map)[1]
             trained = train_cnn1d(x, y, model.config, TrainConfig(seed=6, epochs=2))
             runs[workers] = [model.logits(x), *grads, *trained.param_arrays()]
         for one, two in zip(runs[1], runs[2]):
             assert np.array_equal(one, two)
         # the chunks one after another on this thread, as outside a fit
         model._mask_rng.bit_generator.state = state
-        serial = model.loss_and_grads(x, y, train=True)[1]
+        serial = model.loss_and_grads(x, y, train=train)[1]
         for threaded, want in zip(runs[2][1:7], serial):
             assert np.array_equal(threaded, want)
 
@@ -862,7 +848,7 @@ class TestCnnChunks:
         put(before)
 
     def test_blas_held_to_one_thread_and_restored(self, monkeypatch, blas_threads):
-        model, x, y = self.chunked_model(0.5)
+        model, x, y = self.chunked_model()
         previous = blas_threads()
         seen = []
         step, forward = Cnn1dModel._loss_and_grads, Cnn1dModel._forward
@@ -890,7 +876,7 @@ class TestCnnChunks:
 
     def test_concurrent_predictions_restore_the_blas_count(self, blas_threads):
         # overlapping holds: only the last one out restores the count
-        model, x, _ = self.chunked_model(0.0)
+        model, x, _ = self.chunked_model()
         want = model.logits(x)
         previous = blas_threads()
         interval = sys.getswitchinterval()

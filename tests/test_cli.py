@@ -212,8 +212,9 @@ class TestAudit:
         (("grid", "filter_configs", 0), "mode", "zero_phase"),
         (("grid", "filter_configs", 0), "zscore_stage", "after_filter"),
         (("grid", "filter_configs", 0), "zscore_scope", "train_statistics"),
+        (("grid", "train"), "weight_decay", 0.0),
     ], ids=["fisher_feature", "base_window_ms", "mode", "zscore_stage",
-            "zscore_scope"])
+            "zscore_scope", "weight_decay"])
     def test_manifest_with_removed_grid_key_rejected(
         self, report_dir, tmp_path, capsys, path, key, old_default
     ):

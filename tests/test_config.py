@@ -78,7 +78,6 @@ def grid_specs(draw):
             batch_size=draw(st.integers(1, 256)),
             learning_rate=draw(positive),
             momentum=draw(st.floats(0.0, 1.0)),
-            weight_decay=draw(st.floats(0.0, 1.0)),
         ),
         cnn_kernels=draw(st.integers(1, 16)),
         cnn_kernel_len=draw(st.integers(1, 64)),

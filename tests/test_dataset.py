@@ -117,6 +117,22 @@ class TestContainerErrors:
             load_session(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    def test_infinite_rate_in_file_names_path(self, tmp_path):
+        # it used to load, then fail later with an OverflowError traceback
+        header = json.dumps({
+            "channels": 1, "sample_rate_hz": float("inf"), "subject_id": "x",
+            "num_samples": 50,
+            "events": [{"trial_id": 0, "class_label": 0, "block_id": 0,
+                        "onset_sample": 0, "length_samples": 10}],
+        }).encode()
+        assert b"Infinity" in header
+        payload = np.zeros(50, dtype="<f4").tobytes()
+        path = tmp_path / "bad"
+        path.write_bytes(struct.pack("<4sHI", MAGIC, 1, len(header)) + header + payload)
+        with pytest.raises(ValueError, match="sample_rate=inf must be finite") as info:
+            load_session(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(struct.pack("<4sHI", MAGIC, 99, 2) + b"{}")
@@ -137,8 +153,9 @@ class TestSessionInvariants:
             make_session(events=(TrialEvent(0, 0, 0, 60, 20),))
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError, match="sample_rate"):
-            make_session(rate=0.0)
+        for rate in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="sample_rate"):
+                make_session(rate=rate)
 
     def test_rejects_noncontiguous_block(self):
         with pytest.raises(ValueError, match="contiguous"):
