@@ -25,7 +25,7 @@ enter the derivation, so ablations are exactly paired.
 from __future__ import annotations
 
 import numbers
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, fields, replace
 from enum import Enum
 from itertools import product
 from typing import Sequence
@@ -119,15 +119,15 @@ class GridSpec:
         if set(self.classifiers) - set(CLASSIFIERS) or not self.classifiers:
             raise ValueError(
                 f"classifiers must be a non-empty subset of {CLASSIFIERS}")
-        for name in ("knn_k", "mlp_hidden", "cnn_kernels", "cnn_kernel_len",
-                     "cnn_pool_len", "cnn_pool_stride"):
+        for name in ("seed", "knn_k", "mlp_hidden", "cnn_kernels",
+                     "cnn_kernel_len", "cnn_pool_len", "cnn_pool_stride"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(
                     f"{name}={getattr(self, name)!r} must be an integer")
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k={self.knn_k!r} must be >= 1")
-        if self.mlp_hidden < 1:
-            raise ValueError(f"mlp_hidden={self.mlp_hidden!r} must be >= 1")
+        for name, low in (("seed", 0), ("knn_k", 1), ("mlp_hidden", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r} must be >= {low}")
         for name in ("svm_l2", "start_offset_ms"):
             if not 0 <= getattr(self, name) < float("inf"):
                 raise ValueError(
@@ -197,6 +197,10 @@ class CellResult:
 
 
 CellKey = tuple[str, str, float, int, str]  # (filter, regime, window, channels, clf)
+# a CellKey's entries as grid.json names them
+_CELL_KEY_NAMES = ("filter", "regime", "window_ms", "channels", "classifier")
+# CellResult fields kept in memory only; grid.json carries all the others
+_IN_MEMORY_ONLY = ("confusion",)
 
 
 @dataclass(frozen=True)
@@ -221,34 +225,23 @@ class GridResult:
         return max(ok.items(), key=lambda kv: (kv[1].accuracy, kv[0]))
 
     def to_dict(self) -> dict:
-        return {
-            "windows_ms": list(self.windows_ms),
-            "channel_counts": list(self.channel_counts),
-            "classifiers": list(self.classifiers),
-            "filter_names": list(self.filter_names),
-            "regimes": list(self.regimes),
-            "seed": self.seed,
-            "cells": [
-                {
-                    "filter": k[0],
-                    "regime": k[1],
-                    "window_ms": k[2],
-                    "channels": k[3],
-                    "classifier": k[4],
-                    "accuracy": v.accuracy,
-                    "n_test": v.n_test,
-                    "n_correct": v.n_correct,
-                    "p_value": v.p_value,
-                    "num_classes": v.num_classes,
-                    "n_train": v.n_train,
-                    "n_test_blocks": v.n_test_blocks,
-                    "n_blocks_correct": v.n_blocks_correct,
-                    "block_p_value": v.block_p_value,
-                    "error": v.error,
-                }
-                for k, v in sorted(self.cells.items())
-            ],
-        }
+        """The ``grid.json`` document: each axis field as a list, ``seed``,
+        and one entry per cell in key order.  A cell entry names its
+        coordinate by ``_CELL_KEY_NAMES`` and carries every
+        :class:`CellResult` field but those of ``_IN_MEMORY_ONLY``."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in doc.items():
+            if isinstance(value, tuple):
+                doc[name] = list(value)
+        doc["cells"] = [
+            {
+                **dict(zip(_CELL_KEY_NAMES, k)),
+                **{f.name: getattr(v, f.name) for f in fields(v)
+                   if f.name not in _IN_MEMORY_ONLY},
+            }
+            for k, v in sorted(self.cells.items())
+        ]
+        return doc
 
 
 def _check_no_leakage(fit_indices, test_indices: np.ndarray) -> None:
@@ -679,10 +672,7 @@ class Verdict:
     def to_dict(self) -> dict:
         return {
             "status": self.status.value,
-            "evidence": [
-                {"name": f.name, "value": f.value, "detail": f.detail}
-                for f in self.evidence
-            ],
+            "evidence": [asdict(f) for f in self.evidence],
         }
 
 
@@ -718,6 +708,16 @@ def _failed_cells(grid: GridResult) -> list[Finding]:
     ]
 
 
+def _best_finding(name: str, best: tuple[CellKey, CellResult],
+                  prefix: str = "", chance: bool = True) -> Finding:
+    """A best cell's rounded accuracy, with its label and trial p."""
+    key, cell = best
+    detail = f"{prefix}{_cell_label(key)}, p={cell.p_value:.3e}"
+    if chance:
+        detail += f", chance={cell.chance:.4f}"
+    return Finding(name=name, value=round(cell.accuracy, 4), detail=detail)
+
+
 def issue_verdict(
     main: GridResult,
     relabel: GridResult | None = None,
@@ -728,24 +728,29 @@ def issue_verdict(
     """Deterministic decision over the named analyses.
 
     Requires both within-block and block-disjoint cells in ``main``;
-    anything missing yields INCONCLUSIVE with the reason in evidence.
-    Rules: contaminated when some within-block cell is high (>=
-    ``high_multiple`` x chance, p < alpha) while every block-disjoint cell
-    sits at chance; clean when both regimes are above chance and their best
-    cells agree within ``comparable_points``; no-signal when both regimes
-    are at chance.  When some cell of ``main`` failed, the evidence ends
-    with a ``failed_cells`` finding: their count, and the first one's label
-    and error.
+    anything missing yields INCONCLUSIVE with one ``missing_analyses``
+    finding.  Otherwise the evidence is, in order: ``within_block_best``,
+    ``block_disjoint_best``, ``vlf_fraction``, ``relabel_within_block_best``
+    and one ``highpass_drop_<cutoff>hz`` per cutoff, ascending (each of the
+    last three only when its analysis is given), then one ``rule``.  The
+    rules are tried in order and the first that holds decides:
+    CONTAMINATED when some within-block cell is high (>= ``high_multiple``
+    x chance, p < alpha) while every block-disjoint cell sits at chance;
+    CLEAN_SIGNAL when both regimes' best cells are above chance and agree
+    within ``comparable_points``; NO_SIGNAL when both regimes are at
+    chance; else INCONCLUSIVE.  When some cell of ``main`` failed, the
+    evidence ends with a ``failed_cells`` finding: their count, and the
+    first one's label and error.
     """
-    evidence: list[Finding] = []
     wb = main.by_regime(splits_mod.WITHIN_BLOCK)
     bd = main.by_regime(splits_mod.BLOCK_DISJOINT)
-    if not wb or not bd:
-        missing = []
-        if not wb:
-            missing.append(splits_mod.WITHIN_BLOCK)
-        if not bd:
-            missing.append(splits_mod.BLOCK_DISJOINT)
+    missing = [
+        regime
+        for regime, cells in ((splits_mod.WITHIN_BLOCK, wb),
+                              (splits_mod.BLOCK_DISJOINT, bd))
+        if not cells
+    ]
+    if missing:
         return Verdict(
             status=VerdictStatus.INCONCLUSIVE,
             evidence=(
@@ -758,24 +763,12 @@ def issue_verdict(
             ),
         )
 
-    wb_key, wb_best = main.best_cell(splits_mod.WITHIN_BLOCK)
-    bd_key, bd_best = main.best_cell(splits_mod.BLOCK_DISJOINT)
-    evidence.append(
-        Finding(
-            name="within_block_best",
-            value=round(wb_best.accuracy, 4),
-            detail=f"{_cell_label(wb_key)}, p={wb_best.p_value:.3e}, "
-            f"chance={wb_best.chance:.4f}",
-        )
-    )
-    evidence.append(
-        Finding(
-            name="block_disjoint_best",
-            value=round(bd_best.accuracy, 4),
-            detail=f"{_cell_label(bd_key)}, p={bd_best.p_value:.3e}, "
-            f"chance={bd_best.chance:.4f}",
-        )
-    )
+    wb_best = main.best_cell(splits_mod.WITHIN_BLOCK)
+    bd_best = main.best_cell(splits_mod.BLOCK_DISJOINT)
+    evidence = [
+        _best_finding("within_block_best", wb_best),
+        _best_finding("block_disjoint_best", bd_best),
+    ]
     if vlf_fraction is not None:
         evidence.append(
             Finding(
@@ -788,12 +781,8 @@ def issue_verdict(
         rl = relabel.best_cell(splits_mod.WITHIN_BLOCK)
         if rl is not None:
             evidence.append(
-                Finding(
-                    name="relabel_within_block_best",
-                    value=round(rl[1].accuracy, 4),
-                    detail=f"block-identity labels, {_cell_label(rl[0])}, "
-                    f"p={rl[1].p_value:.3e}",
-                )
+                _best_finding("relabel_within_block_best", rl,
+                              prefix="block-identity labels, ", chance=False)
             )
     if ablation is not None:
         for cutoff in sorted(ablation.by_cutoff):
@@ -809,49 +798,30 @@ def issue_verdict(
                     )
                 )
 
-    wb_high = any(_high(c, config) for c in wb.values())
-    bd_all_chance = all(not _above_chance(c, config) for c in bd.values())
+    wb_cell, bd_cell = wb_best[1], bd_best[1]
     wb_all_chance = all(not _above_chance(c, config) for c in wb.values())
-    bd_above = _above_chance(bd_best, config)
-    wb_above = _above_chance(wb_best, config)
-
-    if wb_high and bd_all_chance:
-        status = VerdictStatus.CONTAMINATED
-        evidence.append(
-            Finding(
-                name="rule",
-                value="within_block high, block_disjoint at chance",
-                detail=f"high >= {config.high_multiple}x chance at "
-                f"alpha={config.alpha}",
-            )
-        )
-    elif (
-        wb_above
-        and bd_above
-        and abs(wb_best.accuracy - bd_best.accuracy) <= config.comparable_points
-    ):
-        status = VerdictStatus.CLEAN_SIGNAL
-        evidence.append(
-            Finding(
-                name="rule",
-                value="both regimes above chance and comparable",
-                detail=f"|delta| <= {config.comparable_points}",
-            )
-        )
-    elif wb_all_chance and bd_all_chance:
-        status = VerdictStatus.NO_SIGNAL
-        evidence.append(
-            Finding(name="rule", value="both regimes at chance",
-                    detail=f"alpha={config.alpha}")
-        )
-    else:
-        status = VerdictStatus.INCONCLUSIVE
-        evidence.append(
-            Finding(
-                name="rule",
-                value="no decision rule matched",
-                detail="mixed evidence; inspect the grid",
-            )
-        )
+    bd_all_chance = all(not _above_chance(c, config) for c in bd.values())
+    # (status, holds, rule, detail); the first row that holds decides
+    rules = (
+        (VerdictStatus.CONTAMINATED,
+         any(_high(c, config) for c in wb.values()) and bd_all_chance,
+         "within_block high, block_disjoint at chance",
+         f"high >= {config.high_multiple}x chance at alpha={config.alpha}"),
+        (VerdictStatus.CLEAN_SIGNAL,
+         _above_chance(wb_cell, config) and _above_chance(bd_cell, config)
+         and abs(wb_cell.accuracy - bd_cell.accuracy) <= config.comparable_points,
+         "both regimes above chance and comparable",
+         f"|delta| <= {config.comparable_points}"),
+        (VerdictStatus.NO_SIGNAL,
+         wb_all_chance and bd_all_chance,
+         "both regimes at chance",
+         f"alpha={config.alpha}"),
+        (VerdictStatus.INCONCLUSIVE,
+         True,
+         "no decision rule matched",
+         "mixed evidence; inspect the grid"),
+    )
+    status, _, rule, detail = next(row for row in rules if row[1])
+    evidence.append(Finding(name="rule", value=rule, detail=detail))
     evidence.extend(_failed_cells(main))
     return Verdict(status=status, evidence=tuple(evidence))

@@ -552,6 +552,11 @@ class Cnn1dConfig:
     classes: int = 40
 
     def __post_init__(self):
+        for name in ("kernels", "kernel_len", "pool_len", "pool_stride",
+                     "classes"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r} must be an integer")
         if self.kernel_len < 1 or self.kernels < 1:
             raise ValueError("kernels and kernel_len must be >= 1")
         if self.pool_len < 1 or self.pool_stride < 1:

@@ -10,7 +10,6 @@ results.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -165,7 +164,7 @@ def _cmd_synth(flags: dict) -> int:
         print(f"wrote {path} ({session.channels} ch, {session.num_samples} samples, "
               f"{len(session.events)} trials)")
     report.write_manifest(out_dir / "manifest.json", "synth", cfg)
-    (out_dir / "files.json").write_text(json.dumps({"sessions": paths}, indent=2) + "\n")
+    report.write_json(out_dir / "files.json", {"sessions": paths})
     return 0
 
 
@@ -321,13 +320,11 @@ def _cmd_codebook(flags: dict) -> int:
 
     summary = {key: _agg(key) for key in runs[0] if key != "seed"}
     out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "codebook.json").write_text(
-        json.dumps({"runs": runs, "summary": summary}, indent=2, sort_keys=True)
-        + "\n"
+    path = report.write_json(
+        out_dir / "codebook.json", {"runs": runs, "summary": summary}
     )
     report.write_manifest(out_dir / "manifest.json", "codebook", cfg)
-    print(f"wrote {out_dir / 'codebook.json'}")
+    print(f"wrote {path}")
     return 0
 
 

@@ -125,7 +125,7 @@ SCHEMAS: dict[str, dict] = {
         "type": "object",
         "properties": {
             "schema_version": {"const": SCHEMA_VERSION},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
             "out": {"type": "string"},
             "design": {"enum": ["block", "rapid_event"]},
             "classes": {"type": "integer", "minimum": 2},
@@ -181,7 +181,7 @@ SCHEMAS: dict[str, dict] = {
         "type": "object",
         "properties": {
             "schema_version": {"const": SCHEMA_VERSION},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
             "out": {"type": "string"},
             "inputs": {"type": "array", "items": {"type": "string"}, "minItems": 1},
             "grid": _GRID_SCHEMA,
@@ -210,7 +210,7 @@ SCHEMAS: dict[str, dict] = {
         "type": "object",
         "properties": {
             "schema_version": {"const": SCHEMA_VERSION},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
             "seeds": {"type": "integer", "minimum": 1},
             "out": {"type": "string"},
             "codebook": {

@@ -64,10 +64,15 @@ class FilterSpec:
     high_hz: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.order, bool) or not isinstance(
+            self.order, numbers.Integral
+        ):
+            raise ValueError(f"order={self.order!r} must be an integer")
         if self.order < 1:
             raise ValueError("filter order must be >= 1")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be > 0")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError(
+                f"sample_rate={self.sample_rate!r} must be finite and > 0")
         nyq = self.sample_rate / 2.0
         for name, f in (("low_hz", self.low_hz), ("high_hz", self.high_hz)):
             if f is not None and not 0 < f < nyq:

@@ -27,6 +27,12 @@ def _write_text(path: Path, text: str) -> Path:
     return path
 
 
+def write_json(path: Path, doc) -> Path:
+    """The one JSON layout of every report: indented, keys sorted, and a
+    final newline."""
+    return _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def grid_csv_text(grid: GridResult) -> str:
     """Table-style layout: rows window x channels, one column per classifier."""
     lines = ["filter,split,window_ms,channels," + ",".join(grid.classifiers)]
@@ -87,7 +93,7 @@ def write_manifest(path: Path, command: str, config: dict) -> Path:
         "command": command,
         "config": config,
     }
-    return _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return write_json(path, doc)
 
 
 def emit_audit_report(
@@ -99,27 +105,19 @@ def emit_audit_report(
     ablation: AblationResult | None = None,
     spectrum: PowerSpectrum | None = None,
 ) -> list[Path]:
-    """Write the audit bundle; returns the paths written."""
+    """Write the audit bundle; returns the paths written, in the order
+    ``grid.csv``, ``grid.json``, ``verdict.json``, ``relabel.csv``,
+    ``relabel.json``, ``ablation.csv``, ``spectra.csv``, ``manifest.json``
+    (each optional file only when its analysis is given)."""
     out = Path(out_dir)
-    written = [
-        _write_text(out / "grid.csv", grid_csv_text(main)),
-        _write_text(
-            out / "grid.json",
-            json.dumps(main.to_dict(), indent=2, sort_keys=True) + "\n",
-        ),
-        _write_text(
-            out / "verdict.json",
-            json.dumps(verdict.to_dict(), indent=2, sort_keys=True) + "\n",
-        ),
-    ]
-    if relabel is not None:
-        written.append(_write_text(out / "relabel.csv", grid_csv_text(relabel)))
-        written.append(
-            _write_text(
-                out / "relabel.json",
-                json.dumps(relabel.to_dict(), indent=2, sort_keys=True) + "\n",
-            )
-        )
+    written = []
+    for name, grid in (("grid", main), ("relabel", relabel)):
+        if grid is None:
+            continue
+        written.append(_write_text(out / f"{name}.csv", grid_csv_text(grid)))
+        written.append(write_json(out / f"{name}.json", grid.to_dict()))
+        if name == "grid":
+            written.append(write_json(out / "verdict.json", verdict.to_dict()))
     if ablation is not None:
         written.append(
             _write_text(out / "ablation.csv", ablation_csv_text(ablation))

@@ -52,7 +52,8 @@ class SplitPlan:
 
 def _check_fractions(fractions) -> np.ndarray:
     f = np.asarray(fractions, dtype=np.float64)
-    if f.shape != (3,) or np.any(f <= 0) or abs(f.sum() - 1.0) > 1e-9:
+    # NaN fails every comparison, so the test is written to reject it
+    if f.shape != (3,) or not (np.all(f > 0) and abs(f.sum() - 1.0) <= 1e-9):
         raise ValueError("fractions must be 3 positive numbers summing to 1")
     return f
 

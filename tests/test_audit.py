@@ -21,6 +21,7 @@ from blockaudit import (
     run_grid,
 )
 from blockaudit.audit import (
+    AblationResult,
     LeakageError,
     _check_no_leakage,
     _error_cell,
@@ -418,12 +419,18 @@ class TestGridSpec:
     @pytest.mark.parametrize("name, value", [
         ("knn_k", 2.5), ("mlp_hidden", 2.5), ("cnn_kernels", 2.5),
         ("cnn_kernel_len", 32.0), ("cnn_pool_len", 2.5), ("cnn_pool_stride", 2.5),
+        ("seed", 2.5),
     ])
     def test_non_integral_setting_rejected(self, name, value):
         # it used to build, then fail run_grid with a TypeError after filtering
         with pytest.raises(ValueError, match=re.escape(
                 f"{name}={value!r} must be an integer")):
             replace(small_spec(256.0), **{name: value})
+
+    def test_negative_seed_rejected(self):
+        # it used to fail unnamed inside run_grid
+        with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
+            replace(small_spec(256.0), seed=-1)
 
     @pytest.mark.parametrize("axis, value, where", [
         ("channel_counts", -3, "grid/channel_counts/0"),
@@ -903,3 +910,119 @@ class TestSerialization:
         assert len(doc["cells"]) == len(result.cells)
         cell = doc["cells"][0]
         assert {"accuracy", "p_value", "block_p_value", "error"} <= cell.keys()
+
+    def test_grid_json_cell_keys(self):
+        doc = _grid({
+            TestVerdictRules.KEY_BD: _cell(0.10, 200, 10, blocks=(20, 2)),
+        }).to_dict()
+        assert doc.keys() == {
+            "windows_ms", "channel_counts", "classifiers", "filter_names",
+            "regimes", "seed", "cells",
+        }
+        assert doc["cells"] == [{
+            "filter": "raw", "regime": "block_disjoint", "window_ms": 440.0,
+            "channels": 8, "classifier": "svm", "accuracy": 0.1,
+            "n_test": 200, "n_correct": 20, "p_value": 1.0,
+            "num_classes": 10, "n_train": 0, "n_test_blocks": 20,
+            "n_blocks_correct": 2, "block_p_value": 1.0, "error": None,
+        }]
+
+
+class TestVerdictLayout:
+    """The status and the ordered evidence of ``verdict.json``, pinned."""
+
+    KEY_WB = TestVerdictRules.KEY_WB
+    KEY_BD = TestVerdictRules.KEY_BD
+    CELLS = ("svm w=440.0ms ch=8 [raw]", "chance=0.1000")
+    FAILED = ("failed_cells", 1,
+              "first: knn w=440.0ms ch=8 [raw] block_disjoint: ValueError: boom")
+
+    @classmethod
+    def _best(cls, name, value, p):
+        return (name, value, f"{cls.CELLS[0]}, p={p}, {cls.CELLS[1]}")
+
+    @pytest.mark.parametrize("failed", [False, True])
+    @pytest.mark.parametrize("wb, bd, status, evidence", [
+        ((0.95,), (0.10, (20, 2)), "CONTAMINATED", [
+            ("within_block_best", 0.95, "7.874e-175"),
+            ("block_disjoint_best", 0.1, "1.000e+00"),
+            ("rule", "within_block high, block_disjoint at chance",
+             "high >= 3.0x chance at alpha=0.01"),
+        ]),
+        ((0.92,), (0.88, (20, 18)), "CLEAN_SIGNAL", [
+            ("within_block_best", 0.92, "3.165e-162"),
+            ("block_disjoint_best", 0.88, "5.202e-147"),
+            ("rule", "both regimes above chance and comparable",
+             "|delta| <= 0.1"),
+        ]),
+        ((0.10,), (0.11, (20, 2)), "NO_SIGNAL", [
+            ("within_block_best", 0.1, "1.000e+00"),
+            ("block_disjoint_best", 0.11, "6.366e-01"),
+            ("rule", "both regimes at chance", "alpha=0.01"),
+        ]),
+        ((0.95,), (0.50, (20, 10)), "INCONCLUSIVE", [
+            ("within_block_best", 0.95, "7.874e-175"),
+            ("block_disjoint_best", 0.5, "2.702e-46"),
+            ("rule", "no decision rule matched",
+             "mixed evidence; inspect the grid"),
+        ]),
+        ((0.95,), None, "INCONCLUSIVE", [
+            ("missing_analyses", "block_disjoint",
+             "required split regimes absent or all-failed"),
+        ]),
+    ])
+    def test_status_and_evidence(self, wb, bd, status, evidence, failed):
+        cells = {self.KEY_WB: _cell(wb[0], 200, 10)}
+        if bd is not None:
+            cells[self.KEY_BD] = _cell(bd[0], 200, 10, blocks=bd[1])
+        if failed:
+            cells[("raw", sp.BLOCK_DISJOINT, 440.0, 8, "knn")] = _error_cell(
+                10, ValueError("boom"))
+        want = [
+            self._best(*f) if f[0].endswith("_best") else f for f in evidence
+        ] + [self.FAILED] * failed
+        assert issue_verdict(_grid(cells)).to_dict() == {
+            "status": status,
+            "evidence": [
+                {"name": n, "value": v, "detail": d} for n, v, d in want
+            ],
+        }
+
+    def test_optional_analyses_in_order(self):
+        base = {self.KEY_BD: _cell(0.10, 200, 10, blocks=(20, 2))}
+        main = _grid({self.KEY_WB: _cell(0.95, 200, 10), **base})
+        ablation = AblationResult(baseline=main, by_cutoff={
+            14.0: _grid({self.KEY_WB: _cell(0.15, 200, 10), **base}),
+            5.0: _grid({self.KEY_WB: _cell(0.35, 200, 10), **base}),
+        })
+        relabel = _grid({self.KEY_WB: _cell(0.5, 40, 4, blocks=(8, 4))})
+        v = issue_verdict(main, relabel=relabel, ablation=ablation,
+                          vlf_fraction=0.93456)
+        drop = "largest within-block accuracy drop, " + self.CELLS[0]
+        assert [(f.name, f.value, f.detail) for f in v.evidence] == [
+            self._best("within_block_best", 0.95, "7.874e-175"),
+            self._best("block_disjoint_best", 0.1, "1.000e+00"),
+            ("vlf_fraction", 0.9346,
+             "fraction of raw power below the VLF cutoff"),
+            ("relabel_within_block_best", 0.5,
+             f"block-identity labels, {self.CELLS[0]}, p=7.166e-04"),
+            ("highpass_drop_5hz", 0.6, drop),
+            ("highpass_drop_14hz", 0.8, drop),
+            ("rule", "within_block high, block_disjoint at chance",
+             "high >= 3.0x chance at alpha=0.01"),
+        ]
+
+    def test_rule_details_follow_the_config(self):
+        cfg = ba.VerdictConfig(alpha=0.05, high_multiple=2.5,
+                               comparable_points=0.2)
+        rows = (
+            ((0.95, 0.10, (20, 2)), "high >= 2.5x chance at alpha=0.05"),
+            ((0.92, 0.75, (20, 15)), "|delta| <= 0.2"),
+            ((0.10, 0.11, (20, 2)), "alpha=0.05"),
+        )
+        for (wb, bd, blocks), detail in rows:
+            v = issue_verdict(_grid({
+                self.KEY_WB: _cell(wb, 200, 10),
+                self.KEY_BD: _cell(bd, 200, 10, blocks=blocks),
+            }), config=cfg)
+            assert (v.evidence[-1].name, v.evidence[-1].detail) == ("rule", detail)

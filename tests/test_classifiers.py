@@ -414,6 +414,15 @@ class TestMlp:
 
 
 class TestCnnShapes:
+    @pytest.mark.parametrize("field", [
+        "kernels", "kernel_len", "pool_len", "pool_stride", "classes",
+    ])
+    def test_non_integral_field_named(self, field):
+        # kernels=2.5 used to build and then fail train_cnn1d with a TypeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field}=2.5 must be an integer")):
+            Cnn1dConfig(**{field: 2.5})
+
     def test_conv_length_440(self):
         cfg = Cnn1dConfig(classes=40)
         assert cfg.conv_length(440) == 409

@@ -644,6 +644,17 @@ class TestConfigValidation:
         assert f"at {where}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "audit", "codebook"])
+    def test_negative_seed_exit_2(self, session_dir, tmp_path, capsys, command):
+        # synth and codebook used to exit 1 from numpy, audit named "grid"
+        out = tmp_path / "out"
+        inputs = {"audit": ["--input", str(session_dir / "s01_block.baud")]}
+        argv = [command, "--out", str(out), "--seed", "-1",
+                *inputs.get(command, [])]
+        assert main(argv) == 2
+        assert "at seed: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evoked_amplitude_in_config_equals_flag(self, tmp_path):
         by_flag, by_file = tmp_path / "flag", tmp_path / "file"
         assert main(synth_args(by_flag, ["--evoked-amplitude", "2.5"])) == 0

@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -102,6 +103,22 @@ class TestDesign:
             FilterSpec.lowpass(FS / 2, FS, 2)  # cutoff at Nyquist
         with pytest.raises(ValueError, match="low_hz must be <"):
             FilterSpec.bandpass(60.0, 20.0, FS, 2)
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("sample_rate", float("inf"), "must be finite and > 0"),
+        ("sample_rate", float("nan"), "must be finite and > 0"),
+        ("sample_rate", 0.0, "must be finite and > 0"),
+        ("order", 2.5, "must be an integer"),
+        ("order", 2.0, "must be an integer"),
+        ("order", True, "must be an integer"),
+    ])
+    def test_bad_rate_or_order_named(self, field, value, want):
+        # inf and 2.5 used to build and then fail inside scipy's design
+        kw = dict(kind=FilterKind.HIGHPASS, order=2, sample_rate=FS,
+                  low_hz=1.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r} {want}")):
+            FilterSpec(**kw)
 
 
 class TestApply:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from blockaudit.audit import GridResult, issue_verdict
 from blockaudit.dsp import PowerSpectrum
 from blockaudit.report import (
     ablation_csv_text,
+    emit_audit_report,
     fmt_accuracy,
     grid_csv_text,
     spectra_csv_text,
@@ -93,3 +96,37 @@ class TestOtherCsv:
         assert lines[0].startswith("cutoff_hz,")
         assert len(lines) == 2
         assert lines[1].startswith("14,raw,within_block,440,16,knn,")
+
+
+class TestAuditBundle:
+    @pytest.mark.parametrize("optional, names", [
+        (False, ["grid.csv", "grid.json", "verdict.json", "manifest.json"]),
+        (True, ["grid.csv", "grid.json", "verdict.json", "relabel.csv",
+                "relabel.json", "ablation.csv", "spectra.csv",
+                "manifest.json"]),
+    ])
+    def test_written_paths_in_order(self, tmp_path, optional, names):
+        grid = empty_grid()
+        extra = {}
+        if optional:
+            extra = dict(
+                relabel=grid,
+                ablation=ba.AblationResult(baseline=grid,
+                                           by_cutoff={14.0: grid}),
+                spectrum=PowerSpectrum(freqs=np.arange(3.0),
+                                       power=np.ones((2, 3))),
+            )
+        written = emit_audit_report(tmp_path / "rep", {"seed": 0}, grid,
+                                    issue_verdict(grid), **extra)
+        assert written == [tmp_path / "rep" / name for name in names]
+        assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == sorted(names)
+
+    def test_json_files_indented_sorted_and_newline_terminated(self, tmp_path):
+        grid = empty_grid()
+        emit_audit_report(tmp_path, {"seed": 0, "a": [1]}, grid,
+                          issue_verdict(grid), relabel=grid)
+        for name in ("grid.json", "verdict.json", "relabel.json",
+                     "manifest.json"):
+            text = (tmp_path / name).read_text()
+            doc = json.loads(text)
+            assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from blockaudit import (
     SplitPlan,
+    SplitSpec,
     TrialEvent,
     TrialMatrix,
     concat_trials,
@@ -104,6 +105,17 @@ class TestWithinBlock:
         tm = block_design(2, 1, 10)
         with pytest.raises(ValueError, match="fractions"):
             split_within_block(tm, (0.5, 0.2, 0.2), seed=0)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_fraction_rejected(self, position):
+        # NaN once passed the check: at the test position it built a plan
+        fractions = [0.5, 0.5, 0.5]
+        fractions[position] = float("nan")
+        fractions = tuple(fractions)
+        with pytest.raises(ValueError, match="fractions must be"):
+            SplitSpec("within_block", fractions)
+        with pytest.raises(ValueError, match="fractions must be"):
+            split_within_block(block_design(2, 1, 10), fractions, seed=0)
 
 
 class TestBlockDisjoint:
