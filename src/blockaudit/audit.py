@@ -24,7 +24,6 @@ enter the derivation, so ablations are exactly paired.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import InitVar, asdict, dataclass, field, fields, replace
 from enum import Enum
 from itertools import product
@@ -34,6 +33,7 @@ import numpy as np
 
 from . import classifiers as clf
 from . import dsp, features, splits as splits_mod, stats
+from ._checks import check_integer, check_real
 from .dataset import Session, TrialMatrix, check_window, concat_trials, segment
 from .stats import binomial_p_vs_chance
 
@@ -119,19 +119,12 @@ class GridSpec:
         if set(self.classifiers) - set(CLASSIFIERS) or not self.classifiers:
             raise ValueError(
                 f"classifiers must be a non-empty subset of {CLASSIFIERS}")
-        for name in ("seed", "knn_k", "mlp_hidden", "cnn_kernels",
-                     "cnn_kernel_len", "cnn_pool_len", "cnn_pool_stride"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(
-                    f"{name}={getattr(self, name)!r} must be an integer")
-        for name, low in (("seed", 0), ("knn_k", 1), ("mlp_hidden", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(
-                    f"{name}={getattr(self, name)!r} must be >= {low}")
-        for name in ("svm_l2", "start_offset_ms"):
-            if not 0 <= getattr(self, name) < float("inf"):
-                raise ValueError(
-                    f"{name}={getattr(self, name)!r} must be finite and >= 0")
+        check_integer("seed", self.seed, 0)
+        for name in ("knn_k", "mlp_hidden", "cnn_kernels", "cnn_kernel_len",
+                     "cnn_pool_len", "cnn_pool_stride"):
+            check_integer(name, getattr(self, name), 1)
+        check_real("svm_l2", self.svm_l2, ge=0)
+        check_real("start_offset_ms", self.start_offset_ms, ge=0)
         if not self.windows_ms or not self.channel_counts or not self.splits:
             raise ValueError("grid axes must be non-empty")
         if not self.filter_configs:
@@ -147,15 +140,10 @@ class GridSpec:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"grid axis {axis} repeats {value!r}")
-        for w in self.windows_ms:
-            if not 0 < w < float("inf"):
-                raise ValueError(
-                    f"grid axis windows_ms has {w!r}, want a finite value > 0"
-                )
-        for c in self.channel_counts:
-            if not isinstance(c, numbers.Integral) or c < 0:
-                raise ValueError(f"grid axis channel_counts has {c!r}, "
-                                 "want an integer >= 0 (0: all)")
+        for i, w in enumerate(self.windows_ms):
+            check_real(f"windows_ms[{i}]", w, gt=0)
+        for i, c in enumerate(self.channel_counts):
+            check_integer(f"channel_counts[{i}]", c, 0)
 
 
 @dataclass(frozen=True)
@@ -642,15 +630,9 @@ class VerdictConfig:
     comparable_points: float = 0.10  # |within - disjoint| for CLEAN_SIGNAL
 
     def __post_init__(self):
-        # NaN fails every comparison, so each range is written to reject it
-        for name, ok, want in (
-            ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
-            ("high_multiple", 0 < self.high_multiple < np.inf, "finite and > 0"),
-            ("comparable_points", 0 <= self.comparable_points < np.inf,
-             "finite and >= 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{name}={getattr(self, name)!r} must be {want}")
+        check_real("alpha", self.alpha, gt=0, lt=1)
+        check_real("high_multiple", self.high_multiple, gt=0)
+        check_real("comparable_points", self.comparable_points, ge=0)
 
 
 @dataclass(frozen=True)

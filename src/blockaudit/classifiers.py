@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
+from ._checks import check_integer, check_real
 from ._threads import worker_threads
 
 
@@ -144,17 +144,11 @@ class TrainConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        # NaN fails every comparison, so each range is written to reject it
-        for name, ok, want in (
-            ("epochs", isinstance(self.epochs, numbers.Integral)
-             and self.epochs >= 1, "an integer >= 1"),
-            ("batch_size", isinstance(self.batch_size, numbers.Integral)
-             and self.batch_size >= 1, "an integer >= 1"),
-            ("learning_rate", 0 < self.learning_rate < np.inf, "finite and > 0"),
-            ("momentum", 0 <= self.momentum <= 1, "in [0, 1]"),
-        ):
-            if not ok:
-                raise ValueError(f"{name}={getattr(self, name)!r} must be {want}")
+        check_integer("seed", self.seed, 0)
+        check_integer("epochs", self.epochs, 1)
+        check_integer("batch_size", self.batch_size, 1)
+        check_real("learning_rate", self.learning_rate, gt=0)
+        check_real("momentum", self.momentum, ge=0, le=1)
 
 
 def _glorot_uniform(rng, fan_in: int, fan_out: int, shape, dtype):
@@ -252,13 +246,14 @@ class KnnModel:
     """Euclidean k-nearest-neighbor classifier over flattened trials."""
 
     def __init__(self, train_x: np.ndarray, train_y: np.ndarray, k: int = 7):
+        check_integer("k", k, 1)
         train_x = np.asarray(train_x)
         train_y = np.asarray(train_y, dtype=np.int64)
         if train_x.ndim != 2 or train_x.shape[0] != train_y.shape[0]:
             raise ValueError("train_x must be (N, D) aligned with train_y")
         if train_x.shape[0] == 0:
             raise ValueError("empty training set")
-        if not 1 <= k <= train_x.shape[0]:
+        if k > train_x.shape[0]:
             raise ValueError(f"k={k} out of range 1..{train_x.shape[0]}")
         self.x = train_x
         self.y = train_y
@@ -464,7 +459,7 @@ def train_mlp(
 ) -> MlpModel:
     """Train the two-layer sigmoid MLP with softmax cross-entropy.
 
-    ``hidden`` below 1 raises ``ValueError``.  When features outnumber
+    ``hidden`` must be an integer >= 1.  When features outnumber
     training trials (``D > n``) the first layer trains in Gram space, on the
     row-space path ``train_svm`` uses.  Every gradient step adds a
     combination of training rows to ``w1``, so ``w1 = w1₀ + Xᵀa`` at every
@@ -478,8 +473,7 @@ def train_mlp(
     after O(n²·D + n·D·hidden) once.  ``w1`` is recovered in place in the
     init array.  With ``D <= n`` the primal form is used.
     """
-    if hidden < 1:
-        raise ValueError(f"MLP hidden={hidden!r} must be >= 1")
+    check_integer("hidden", hidden, 1)
     train_x, train_y, dtype = _training_set(train_x, train_y, "MLP")
     classes = int(train_y.max()) + 1
     n, dim = train_x.shape
@@ -552,15 +546,9 @@ class Cnn1dConfig:
     classes: int = 40
 
     def __post_init__(self):
-        for name in ("kernels", "kernel_len", "pool_len", "pool_stride",
-                     "classes"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(
-                    f"{name}={getattr(self, name)!r} must be an integer")
-        if self.kernel_len < 1 or self.kernels < 1:
-            raise ValueError("kernels and kernel_len must be >= 1")
-        if self.pool_len < 1 or self.pool_stride < 1:
-            raise ValueError("pool_len and pool_stride must be >= 1")
+        for name in ("kernels", "kernel_len", "pool_len", "pool_stride"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("classes", self.classes, 2)
 
     def conv_length(self, width: int) -> int:
         if width < self.kernel_len:

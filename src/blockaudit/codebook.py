@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifiers as clf
+from ._checks import check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,11 @@ def generate_codebook(
     N(0, noise_variance) noise, clipped at zero.  Defaults reproduce the
     40 x 50 x 6 x 128 layout (12,000 instance codewords).
     """
-    if min(classes, instances_per_class, subjects, dim) < 1:
-        raise ValueError("all codebook counts must be >= 1")
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be >= 0")
+    check_integer("classes", classes, 1)
+    check_integer("instances_per_class", instances_per_class, 1)
+    check_integer("subjects", subjects, 1)
+    check_integer("dim", dim, 1)
+    check_real("noise_variance", noise_variance, ge=0)
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.0, 2.0, size=(classes, dim))
     noise = rng.normal(
@@ -157,8 +159,7 @@ def train_ridge_regressor(
         raise ValueError("features and targets must be aligned 2-D arrays")
     if x.shape[0] < 1:
         raise ValueError("need at least one training row")
-    if l2 < 0:
-        raise ValueError("l2 must be >= 0")
+    check_real("l2", l2, ge=0)
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
     xc = x - x_mean
@@ -189,8 +190,8 @@ def make_clustered_features(
     closer than vectors of different classes.  Rows are tagged train/test by
     a seeded per-class split.
     """
-    if classes < 2 or per_class < 2:
-        raise ValueError("need >= 2 classes with >= 2 instances each")
+    check_integer("classes", classes, 2)
+    check_integer("per_class", per_class, 2)
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.0, 1.0, size=(classes, dim))
     labels = np.repeat(np.arange(classes), per_class)

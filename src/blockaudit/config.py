@@ -16,6 +16,7 @@ from pathlib import Path
 import jsonschema
 
 from . import audit, classifiers, dsp, splits, synthgen
+from ._checks import is_integer
 
 SCHEMA_VERSION = 1
 
@@ -344,11 +345,10 @@ DEFAULTS: dict[str, dict] = {
 
 
 def _strict_validator(schema: dict):
-    """The schema's validator, with "integer" taking only a non-bool int:
+    """The schema's validator, with "integer" the settings' integer rule:
     JSON Schema's own check also takes an integral float such as ``6.0``."""
     cls = jsonschema.validators.validator_for(schema)
-    checker = cls.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    checker = cls.TYPE_CHECKER.redefine("integer", lambda _, v: is_integer(v))
     return jsonschema.validators.extend(cls, type_checker=checker)(schema)
 
 

@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_real
+
 MAGIC = b"BAUD"
 CONTAINER_VERSION = 1
 
@@ -96,6 +98,7 @@ class Session:
     events: tuple[TrialEvent, ...]
 
     def __post_init__(self):
+        check_real("sample_rate", self.sample_rate, gt=0)
         samples = np.asarray(self.samples)
         if samples.ndim != 2:
             raise ValueError("samples must be a channels x T matrix")
@@ -106,8 +109,6 @@ class Session:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "events", tuple(self.events))
-        if not 0 < self.sample_rate < np.inf:
-            raise ValueError(f"sample_rate={self.sample_rate!r} must be finite and > 0")
         self._validate_events()
 
     def _validate_events(self):
@@ -372,6 +373,7 @@ def check_window(
     and so inside the recording.  It reads the events only, never the
     samples.
     """
+    check_real("start_offset_ms", start_offset_ms, ge=0)
     if not session.events:
         raise ValueError("session has no events to segment")
     rate = session.sample_rate
@@ -379,8 +381,6 @@ def check_window(
     width = int(round(window_ms * rate / 1000.0))
     if width < 1:
         raise ValueError(f"window of {window_ms} ms is empty at {rate} Hz")
-    if offset < 0:
-        raise ValueError("start_offset_ms must be >= 0")
     for ev in session.events:
         if offset + width > ev.length_samples:
             raise ValueError(

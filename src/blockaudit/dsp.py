@@ -20,7 +20,6 @@ float64 copy of the trials or the session.
 """
 from __future__ import annotations
 
-import numbers
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +31,7 @@ from scipy import signal as _signal
 # filters a C-contiguous (rows, T) float64 array in place, without the GIL
 from scipy.signal._sosfilt import _sosfilt as _sos_kernel
 
+from ._checks import check_integer, check_real
 from ._threads import worker_threads
 from .dataset import Session, TrialEvent, TrialMatrix, check_finite
 
@@ -64,15 +64,8 @@ class FilterSpec:
     high_hz: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.order, bool) or not isinstance(
-            self.order, numbers.Integral
-        ):
-            raise ValueError(f"order={self.order!r} must be an integer")
-        if self.order < 1:
-            raise ValueError("filter order must be >= 1")
-        if not 0 < self.sample_rate < np.inf:
-            raise ValueError(
-                f"sample_rate={self.sample_rate!r} must be finite and > 0")
+        check_integer("order", self.order, 1)
+        check_real("sample_rate", self.sample_rate, gt=0)
         nyq = self.sample_rate / 2.0
         for name, f in (("low_hz", self.low_hz), ("high_hz", self.high_hz)):
             if f is not None and not 0 < f < nyq:
@@ -237,8 +230,7 @@ def downsample(session: Session, factor: int) -> Session:
     cutoff at 0.8x the new Nyquist.  ``factor=1`` returns the session
     untouched.  Event onsets and lengths are rescaled by integer division.
     """
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("factor must be an integer >= 1")
+    check_integer("factor", factor, 1)
     factor = int(factor)
     if factor == 1:
         return session
@@ -424,18 +416,14 @@ def power_spectrum(
         x = np.atleast_2d(np.asarray(data))
         if sample_rate is None:
             raise ValueError("sample_rate is required for bare arrays")
-        if not 0 < sample_rate < np.inf:
-            raise ValueError(f"sample_rate={sample_rate!r} must be finite and > 0")
+        check_real("sample_rate", sample_rate, gt=0)
         check_finite(x)
         fs = sample_rate
-    if not (isinstance(segment_samples, numbers.Integral) and segment_samples >= 2):
-        raise ValueError(
-            f"segment_samples={segment_samples!r} must be an integer >= 2")
+    check_integer("segment_samples", segment_samples, 2)
     nperseg = int(segment_samples)
     if x.shape[-1] < nperseg:
         raise ValueError("segment_samples exceeds available samples")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1)")
+    check_real("overlap_fraction", overlap_fraction, ge=0, lt=1)
     hop = max(1, int(round(nperseg * (1.0 - overlap_fraction))))
     starts = range(0, x.shape[-1] - nperseg + 1, hop)
 
@@ -469,8 +457,7 @@ def power_spectrum(
 def vlf_fraction(spectrum: PowerSpectrum, cutoff_hz: float) -> float:
     """Fraction of total power (all channels pooled) below ``cutoff_hz``,
     which must be finite, > 0 and below the top frequency bin."""
-    if not 0 < cutoff_hz < np.inf:
-        raise ValueError(f"cutoff_hz={cutoff_hz!r} must be finite and > 0")
+    check_real("cutoff_hz", cutoff_hz, gt=0)
     if not cutoff_hz < spectrum.freqs[-1]:
         raise ValueError("cutoff_hz must be below the top frequency bin")
     total = float(spectrum.power.sum())

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_integer, check_real
 from .dataset import DesignKind, Session, TrialEvent
 
 
@@ -34,8 +35,8 @@ class DriftParams:
     noise_sigma: float = 1.0
 
     def __post_init__(self):
-        if min(self.dc_sigma, self.walk_sigma, self.noise_sigma) < 0:
-            raise ValueError("drift amplitudes must be >= 0")
+        for name in ("dc_sigma", "walk_sigma", "noise_sigma"):
+            check_real(name, getattr(self, name), ge=0)
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,9 @@ class EvokedParams:
     center_hz: float = 30.0
 
     def __post_init__(self):
-        if not self.amplitude >= 0:
-            raise ValueError("evoked amplitude must be >= 0")
-        if not self.template_ms > 0:
-            raise ValueError("template_ms must be > 0")
+        check_real("amplitude", self.amplitude, ge=0)
+        check_real("template_ms", self.template_ms, gt=0)
+        check_real("center_hz", self.center_hz, gt=0)
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,8 @@ class Schedule:
     blank_ms: float
 
     def __post_init__(self):
+        check_real("stimulus_ms", self.stimulus_ms, gt=0)
+        check_real("blank_ms", self.blank_ms, ge=0)
         object.__setattr__(
             self,
             "blocks",
@@ -91,8 +93,6 @@ class Schedule:
                 raise ValueError("block design requires single-class blocks")
         if np.any(counts != self.trials_per_class):
             raise ValueError("every class must appear trials_per_class times")
-        if self.stimulus_ms <= 0 or self.blank_ms < 0:
-            raise ValueError("stimulus_ms must be > 0 and blank_ms >= 0")
 
     @property
     def num_blocks(self) -> int:
@@ -116,9 +116,10 @@ def make_block_schedule(
     block-disjoint evaluation needs (it requires at least 3 blocks per class
     to put every class in train, the left-out middle share, and test).
     """
-    if classes < 2 or trials_per_class < 1:
-        raise ValueError("need classes >= 2 and trials_per_class >= 1")
-    if blocks_per_class < 1 or trials_per_class % blocks_per_class:
+    check_integer("classes", classes, 2)
+    check_integer("trials_per_class", trials_per_class, 1)
+    check_integer("blocks_per_class", blocks_per_class, 1)
+    if trials_per_class % blocks_per_class:
         raise ValueError("blocks_per_class must divide trials_per_class")
     per_block = trials_per_class // blocks_per_class
     rng = np.random.default_rng(seed)
@@ -151,10 +152,11 @@ def make_rapid_event_schedule(
     stimuli are shuffled by ``seed`` and dealt into ``block_count`` blocks of
     equal size, so per-block class composition is random.
     """
-    if classes < 2 or trials_per_class < 1:
-        raise ValueError("need classes >= 2 and trials_per_class >= 1")
+    check_integer("classes", classes, 2)
+    check_integer("trials_per_class", trials_per_class, 1)
+    check_integer("block_count", block_count, 1)
     total = classes * trials_per_class
-    if block_count < 1 or total % block_count:
+    if total % block_count:
         raise ValueError(
             f"block_count {block_count} must divide total trials {total}"
         )
@@ -208,10 +210,8 @@ def generate_session(
     amplitude, the class template added at each trial onset.  Blanking after
     each block is generated but carries no events.
     """
-    if channels < 1:
-        raise ValueError("channels must be >= 1")
-    if not sample_rate > 0:
-        raise ValueError("sample_rate must be > 0")
+    check_integer("channels", channels, 1)
+    check_real("sample_rate", sample_rate, gt=0)
     stim = int(round(schedule.stimulus_ms * sample_rate / 1000.0))
     blank = int(round(schedule.blank_ms * sample_rate / 1000.0))
     if stim < 1:

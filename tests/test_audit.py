@@ -268,7 +268,7 @@ class TestRunGrid:
     @pytest.mark.usefixtures("no_filter")
     def test_knn_k_below_one_raises_before_any_filter(self, drift_session):
         # it used to pass filtering and then fail every kNN cell
-        with pytest.raises(ValueError, match="knn_k=0 must be >= 1"):
+        with pytest.raises(ValueError, match="knn_k=0 must be an integer >= 1"):
             run_grid(drift_session, replace(
                 small_spec(256.0), filter_configs=(NOTCH_ARM,), knn_k=0,
             ))
@@ -282,7 +282,8 @@ class TestRunGrid:
     @pytest.mark.parametrize("hidden", [0, -1])
     def test_mlp_hidden_below_one_rejected(self, hidden):
         # a hidden layer of no units scores at chance and reads as no signal
-        with pytest.raises(ValueError, match=f"mlp_hidden={hidden} must be >= 1"):
+        with pytest.raises(ValueError,
+                           match=f"mlp_hidden={hidden} must be an integer >= 1"):
             replace(small_spec(256.0), mlp_hidden=hidden)
 
     @pytest.mark.usefixtures("no_filter")
@@ -403,48 +404,55 @@ class TestGridSpec:
                                   "('knn', 'svm', 'mlp', 'cnn1d')")
 
     @pytest.mark.parametrize("axis, values, shown", [
-        ("channel_counts", (0, -3), "-3"),
-        ("channel_counts", (0, 2.5), "2.5"),
-        ("windows_ms", (440.0, 0.0), "0.0"),
-        ("windows_ms", (-5.0,), "-5.0"),
-        ("windows_ms", (float("nan"),), "nan"),
-        ("windows_ms", (float("inf"),), "inf"),
-    ], ids=["negative_channels", "fractional_channels", "zero_window",
-            "negative_window", "nan_window", "inf_window"])
+        ("channel_counts", (0, -3), "[1]=-3 must be an integer >= 0"),
+        ("channel_counts", (0, 2.5), "[1]=2.5 must be an integer >= 0"),
+        ("channel_counts", (True,), "[0]=True must be an integer >= 0"),
+        ("windows_ms", (440.0, 0.0), "[1]=0.0 must be finite and > 0"),
+        ("windows_ms", (-5.0,), "[0]=-5.0 must be finite and > 0"),
+        ("windows_ms", (float("nan"),), "[0]=nan must be finite and > 0"),
+        ("windows_ms", (float("inf"),), "[0]=inf must be finite and > 0"),
+        ("windows_ms", (True,), "[0]=True must be finite and > 0"),
+    ], ids=["negative_channels", "fractional_channels", "bool_channels",
+            "zero_window", "negative_window", "nan_window", "inf_window",
+            "bool_window"])
     def test_bad_axis_value_rejected(self, axis, values, shown):
-        # -3 used to mean all channels; a bad window failed mid-run
-        with pytest.raises(ValueError, match=f"grid axis {axis} has {shown}"):
+        # -3 used to mean all channels; a bad window failed mid-run; a bool
+        # channel count ran one channel and was written to grid.json as true
+        with pytest.raises(ValueError, match=re.escape(axis + shown)):
             replace(small_spec(256.0), **{axis: values})
 
     @pytest.mark.parametrize("name, value", [
         ("knn_k", 2.5), ("mlp_hidden", 2.5), ("cnn_kernels", 2.5),
         ("cnn_kernel_len", 32.0), ("cnn_pool_len", 2.5), ("cnn_pool_stride", 2.5),
-        ("seed", 2.5),
+        ("seed", 2.5), ("knn_k", True), ("seed", True), ("mlp_hidden", True),
+        ("cnn_pool_len", True),
     ])
     def test_non_integral_setting_rejected(self, name, value):
-        # it used to build, then fail run_grid with a TypeError after filtering
+        # it used to build, then fail run_grid with a TypeError after
+        # filtering; a bool built and ran as 1
         with pytest.raises(ValueError, match=re.escape(
                 f"{name}={value!r} must be an integer")):
             replace(small_spec(256.0), **{name: value})
 
     def test_negative_seed_rejected(self):
         # it used to fail unnamed inside run_grid
-        with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
+        with pytest.raises(ValueError, match="seed=-1 must be an integer >= 0"):
             replace(small_spec(256.0), seed=-1)
 
-    @pytest.mark.parametrize("axis, value, where", [
-        ("channel_counts", -3, "grid/channel_counts/0"),
-        ("windows_ms", 0.0, "grid/windows_ms/0"),
-        ("windows_ms", -5.0, "grid/windows_ms/0"),
+    @pytest.mark.parametrize("axis, value, where, want", [
+        ("channel_counts", -3, "grid/channel_counts/0", "an integer >= 0"),
+        ("windows_ms", 0.0, "grid/windows_ms/0", "finite and > 0"),
+        ("windows_ms", -5.0, "grid/windows_ms/0", "finite and > 0"),
     ], ids=["negative_channels", "zero_window", "negative_window"])
-    def test_bad_axis_value_is_config_error(self, axis, value, where):
+    def test_bad_axis_value_is_config_error(self, axis, value, where, want):
         grid = {axis: [value]}
         with pytest.raises(ConfigError, match=where):
             load_config("audit", None, {"inputs": ["x"], "out": "y",
                                         "grid": grid})
         # the builder rejects it too, for a grid that skipped the schema
         valid = load_config("audit", None, {"inputs": ["x"], "out": "y"})
-        with pytest.raises(ConfigError, match=f"grid axis {axis} has"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{axis}[0]={value!r} must be {want}")):
             build_grid_spec(dict(valid["grid"], **grid), 256.0, seed=0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])

@@ -275,6 +275,7 @@ class TestTrainConfig:
         ("learning_rate", float("nan")), ("learning_rate", 0.0),
         ("learning_rate", float("inf")),
         ("momentum", 1.5), ("momentum", -0.5), ("momentum", float("nan")),
+        ("seed", -1),
     ])
     def test_setting_outside_the_schema_rejected(self, field, value):
         # each used to fail late, once per cell, or train silently
@@ -288,12 +289,15 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 1.5), ("epochs", 2.0), ("epochs", float("nan")),
         ("batch_size", 1.5), ("batch_size", 16.0),
-        ("batch_size", float("nan")),
+        ("batch_size", float("nan")), ("epochs", True), ("batch_size", True),
+        ("seed", 2.5), ("seed", True),
     ])
     def test_non_integral_count_rejected(self, field, value):
         # a float used to pass and fail in the first fit of a grid, after
-        # the session was segmented; NaN passed because nan < 1 is False
-        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r}")):
+        # the session was segmented; NaN passed because nan < 1 is False;
+        # a bool built, and a seed was checked only inside default_rng
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field}={value!r} must be an integer")):
             TrainConfig(**{field: value})
 
     def test_integer_counts_accepted(self):
@@ -347,7 +351,8 @@ class TestMlp:
     def test_hidden_below_one_rejected(self, hidden):
         # a layer of no units trains a bias-only model that reads as chance
         x = np.random.default_rng(8).standard_normal((5, 3))
-        with pytest.raises(ValueError, match=f"hidden={hidden} must be >= 1"):
+        with pytest.raises(ValueError,
+                           match=f"hidden={hidden} must be an integer >= 1"):
             train_mlp(x, np.arange(5) % 2, hidden=hidden)
 
     @staticmethod
@@ -414,14 +419,27 @@ class TestMlp:
 
 
 class TestCnnShapes:
-    @pytest.mark.parametrize("field", [
-        "kernels", "kernel_len", "pool_len", "pool_stride", "classes",
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=field if value == 2.5 else f"{field}-True")
+        for value in (2.5, True)
+        for field in ("kernels", "kernel_len", "pool_len", "pool_stride",
+                      "classes")
     ])
-    def test_non_integral_field_named(self, field):
+    def test_non_integral_field_named(self, field, value):
         # kernels=2.5 used to build and then fail train_cnn1d with a TypeError
         with pytest.raises(ValueError, match=re.escape(
-                f"{field}=2.5 must be an integer")):
-            Cnn1dConfig(**{field: 2.5})
+                f"{field}={value!r} must be an integer")):
+            Cnn1dConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, low", [
+        ("kernels", 0, 1), ("kernel_len", 0, 1), ("pool_len", 0, 1),
+        ("pool_stride", -1, 1), ("classes", 1, 2), ("classes", 0, 2),
+    ])
+    def test_field_below_range_named(self, field, value, low):
+        # classes=0 and classes=1 used to build
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field}={value} must be an integer >= {low}")):
+            Cnn1dConfig(**{field: value})
 
     def test_conv_length_440(self):
         cfg = Cnn1dConfig(classes=40)

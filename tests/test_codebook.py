@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ class TestGenerateCodebook:
     def test_clipping_invariant(self):
         cb = generate_codebook(10, 8, 4, dim=32, seed=1)
         assert cb.instance_codewords.min() >= 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_noise_variance_named(self, value):
+        # NaN used to build a codebook of NaN codewords
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise_variance={value!r} must be finite and >= 0")):
+            generate_codebook(2, 2, 1, dim=3, noise_variance=value)
 
     def test_zero_noise_reproduces_base(self):
         cb = generate_codebook(6, 5, 3, dim=16, seed=2, noise_variance=0.0)

@@ -108,6 +108,7 @@ class TestDesign:
         ("sample_rate", float("inf"), "must be finite and > 0"),
         ("sample_rate", float("nan"), "must be finite and > 0"),
         ("sample_rate", 0.0, "must be finite and > 0"),
+        ("sample_rate", True, "must be finite and > 0"),
         ("order", 2.5, "must be an integer"),
         ("order", 2.0, "must be an integer"),
         ("order", True, "must be an integer"),

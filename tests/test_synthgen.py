@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -56,6 +57,15 @@ class TestBlockSchedule:
             make_block_schedule(1, 5, 100.0, 0.0, seed=0)
         with pytest.raises(ValueError, match="divide"):
             make_block_schedule(4, 10, 100.0, 0.0, seed=0, blocks_per_class=3)
+
+    @pytest.mark.parametrize("stimulus_ms, blank_ms, want", [
+        (float("nan"), 0.0, "stimulus_ms=nan must be finite and > 0"),
+        (100.0, float("inf"), "blank_ms=inf must be finite and >= 0"),
+    ])
+    def test_non_finite_timing_named(self, stimulus_ms, blank_ms, want):
+        # a NaN stimulus used to fail unnamed while the session was rendered
+        with pytest.raises(ValueError, match=re.escape(want)):
+            make_block_schedule(2, 2, stimulus_ms, blank_ms, seed=0)
 
 
 class TestRapidEventSchedule:
@@ -185,6 +195,16 @@ class TestGenerateSession:
         with pytest.raises(ValueError, match=">= 0"):
             DriftParams(-1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("walk_sigma", float("nan")), ("dc_sigma", float("inf")),
+        ("noise_sigma", True),
+    ])
+    def test_non_finite_drift_named(self, field, value):
+        # min() skipped a NaN, which surfaced later as a non-finite sample
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field}={value!r} must be finite and >= 0")):
+            DriftParams(**{field: value})
+
 
 class TestEvokedParams:
     def test_no_enabled_field(self):
@@ -205,10 +225,22 @@ class TestEvokedParams:
         assert render(0.0).tobytes() == quiet.tobytes()
         assert render(1.0).tobytes() != quiet.tobytes()
 
+    @pytest.mark.parametrize("field, value, want", [
+        ("center_hz", float("nan"), "finite and > 0"),
+        ("center_hz", -30.0, "finite and > 0"),
+        ("amplitude", float("inf"), "finite and >= 0"),
+    ])
+    def test_bad_burst_named(self, field, value, want):
+        # each used to build
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field}={value!r} must be {want}")):
+            EvokedParams(**{field: value})
+
     @pytest.mark.parametrize("amplitude", [0.0, 1.0])
     @pytest.mark.parametrize("template_ms", [0.0, -5.0, float("nan")])
     def test_template_ms_must_be_positive_whatever_the_amplitude(
         self, amplitude, template_ms
     ):
-        with pytest.raises(ValueError, match="template_ms must be > 0"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"template_ms={template_ms!r} must be finite and > 0")):
             EvokedParams(amplitude=amplitude, template_ms=template_ms)
